@@ -44,7 +44,7 @@ inline int bench_jobs() {
 
 // Episode lanes per worker for cross-episode batched inference:
 // ADSEC_LANES overrides, default 8. Lane-batched runs are bit-identical to
-// serial ones for any lane count (see runtime/lane_scheduler.hpp), so like
+// serial ones for any lane count (see runtime/executor.hpp), so like
 // ADSEC_JOBS this only changes wall-clock time.
 inline int bench_lanes() {
   const char* env = std::getenv("ADSEC_LANES");

@@ -137,7 +137,7 @@ BENCHMARK(BM_EpisodeBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The e2e workload the lane scheduler was built for: a fleet of identical
+// The e2e workload lane batching was built for: a fleet of identical
 // policy agents whose per-step GEMV collapses into one batched GEMM across
 // in-flight episodes. Arg is the lane count (1 = the serial per-episode
 // decide() loop); items/sec == episodes/sec. Results are bit-identical at
@@ -518,7 +518,7 @@ void write_simd_kernels_table() {
 
 // Serial-vs-batched episode throughput on the active tier: the BM_BatchedDecide
 // workload (128 e2e episodes, one process) executed with batch_lanes=1 and
-// with the lane scheduler gathering 8/16 in-flight episodes into one policy
+// with the executor's lane loop gathering 8/16 in-flight episodes into one policy
 // forward. Acceptance floor: >= 1.5x at 8 lanes on an AVX2 host.
 void write_batched_decide_table() {
   const ExperimentConfig cfg;

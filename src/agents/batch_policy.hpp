@@ -2,7 +2,7 @@
 //
 // A DrivingAgent whose decide() is "stage an observation, run one fixed
 // policy forward, decode the action row" can additionally implement
-// BatchPolicy. The episode-lane scheduler (runtime/lane_scheduler.hpp)
+// BatchPolicy. The episode executor's lane loop (runtime/executor.hpp)
 // detects the capability via dynamic_cast and then amortizes the policy
 // forwards of N in-flight episodes into ONE B x obs_dim GEMM per control
 // step:
@@ -20,10 +20,10 @@
 //     per-row forwards within a dispatch tier (see nn/simd.hpp);
 //   * action_from_row must apply exactly decide()'s post-processing;
 //   * decide(world) must remain equivalent to the staged sequence — the
-//     scheduler falls back to per-lane decide() for non-batchable agents
-//     and for fleets of one.
+//     executor falls back to per-lane decide() for non-batchable agents
+//     and runs fleets of one through plain evaluate_episode().
 //
-// The scheduler may run the forward on ANY lane's agent, so factories must
+// The executor may run the forward on ANY lane's agent, so factories must
 // produce identical policies — the same requirement the parallel batch
 // runner already imposes (core/experiment.hpp).
 #pragma once
@@ -47,7 +47,7 @@ class BatchPolicy {
   virtual void stage_observation(const World& world, std::span<double> row) = 0;
 
   // act = policy(obs): obs is B x policy_obs_dim(), act resized to
-  // B x policy_act_dim(). Must be const — the scheduler runs it on one
+  // B x policy_act_dim(). Must be const — the executor runs it on one
   // lane's agent for the whole fleet.
   virtual void policy_forward(const Matrix& obs, Matrix& act) const = 0;
 

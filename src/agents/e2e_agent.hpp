@@ -13,7 +13,7 @@
 namespace adsec {
 
 // Implements BatchPolicy: decide() is exactly stage -> mean-action forward
-// -> decode, so the lane scheduler can run one B x obs_dim forward for a
+// -> decode, so the executor's lane loop can run one B x obs_dim forward for a
 // whole fleet of in-flight episodes with bit-identical results.
 class E2EAgent : public DrivingAgent, public BatchPolicy {
  public:

@@ -26,7 +26,7 @@ struct ExperimentConfig {
 };
 
 // One episode, decomposed so a scheduler can interleave many in-flight
-// episodes (runtime/lane_scheduler.hpp): construction seeds the world and
+// episodes (runtime/executor.hpp): construction seeds the world and
 // resets the actors; step() advances one control cycle given the agent's
 // decided action for the CURRENT world state; finish() extracts the
 // metrics once the episode is over. run_episode() below is exactly
@@ -88,9 +88,9 @@ std::vector<EpisodeMetrics> run_batch(DrivingAgent& agent, Attacker* attacker,
                                       std::uint64_t seed_base,
                                       bool with_reference = false);
 
-// Factories for the parallel batch runner (src/runtime). Agents and
-// attackers are stateful and non-clonable, so each pool worker constructs
-// its own pair. Factories are invoked concurrently from worker threads and
+// Factories for the episode executor (src/runtime). Agents and attackers
+// are stateful and non-clonable, so each executor lane constructs its own
+// pair. Factories are invoked concurrently from worker threads and
 // must therefore only read shared state (e.g. copy a trained policy —
 // train or load it *before* entering the parallel region). An empty
 // AttackerFactory (or one returning null) means nominal driving.

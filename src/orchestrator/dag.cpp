@@ -394,13 +394,10 @@ GridReport run_grid(ResultStore& store, PolicyZoo& zoo, const GridSpec& grid,
       crash_point("job.start");
       const serve::ResolvedSpec spec =
           serve::resolve_spec(zoo, to_request(cell));
-      const std::unique_ptr<DrivingAgent> agent = spec.agent();
-      const std::unique_ptr<Attacker> attacker =
-          spec.attacker ? spec.attacker() : nullptr;
       CellResult result;
-      result.episodes = run_batch(*agent, attacker.get(), spec.config,
-                                  cell.episodes, cell.seed,
-                                  cell.with_reference);
+      result.episodes = run_batch_parallel(spec.agent, spec.attacker, spec.config,
+                                           cell.episodes, cell.seed,
+                                           cell.with_reference, /*jobs=*/1);
       crash_point("job.computed");
       store.put(cell, result);
     };

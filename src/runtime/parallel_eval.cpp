@@ -1,36 +1,11 @@
 #include "runtime/parallel_eval.hpp"
 
-#include <atomic>
-#include <exception>
+#include <algorithm>
 
-#include "common/error.hpp"
-#include "common/fault_injection.hpp"
-#include "runtime/lane_scheduler.hpp"
+#include "runtime/executor.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace adsec {
-
-namespace {
-
-telemetry::Counter& episodes_counter() {
-  static telemetry::Counter c = telemetry::counter("runtime.episodes");
-  return c;
-}
-
-struct WorkerContext {
-  std::unique_ptr<DrivingAgent> agent;
-  std::unique_ptr<Attacker> attacker;  // null => nominal driving
-};
-
-WorkerContext make_context(const AgentFactory& make_agent,
-                           const AttackerFactory& make_attacker) {
-  WorkerContext ctx;
-  ctx.agent = make_agent();
-  if (make_attacker) ctx.attacker = make_attacker();
-  return ctx;
-}
-
-}  // namespace
 
 std::vector<EpisodeMetrics> run_batch_parallel(const AgentFactory& make_agent,
                                                const AttackerFactory& make_attacker,
@@ -39,144 +14,22 @@ std::vector<EpisodeMetrics> run_batch_parallel(const AgentFactory& make_agent,
                                                const ParallelEvalOptions& options) {
   if (episodes <= 0) return {};
   // Root span for the whole batch: episode spans parent to it (directly on
-  // the serial path, via the pool's context capture on the parallel one),
-  // so one batch is one rooted trace regardless of how work was scheduled.
+  // the calling thread, via the pool's context capture on workers), so one
+  // batch is one rooted trace regardless of how work was scheduled.
   ADSEC_SPAN("runtime.batch");
   std::vector<EpisodeMetrics> out(static_cast<std::size_t>(episodes));
-  const int jobs = options.jobs > 0 ? options.jobs : hardware_jobs();
-
-  if (options.batch_lanes > 1 && episodes > 1) {
-    // Lane-scheduler path: batch the policy forward across in-flight
-    // episodes. Episode k keeps seed_base + k and result slot k, so the
-    // output is bit-identical to the non-batched paths below.
-    std::vector<EpisodeJob> batch(static_cast<std::size_t>(episodes));
-    for (int k = 0; k < episodes; ++k) {
-      auto& job = batch[static_cast<std::size_t>(k)];
-      job.seed = seed_base + static_cast<std::uint64_t>(k);
-      job.with_reference = options.with_reference;
-      job.out = &out[static_cast<std::size_t>(k)];
-    }
-    std::atomic<int> done{0};
-    const auto tick = [&](int) {
-      if (options.on_progress) options.on_progress(done.fetch_add(1) + 1, episodes);
-    };
-
-    if (jobs <= 1) {
-      run_episode_jobs_batched(make_agent, make_attacker, config, batch,
-                               options.batch_lanes, tick);
-      telemetry::emit_event("runtime.batch",
-                            {{"episodes", episodes},
-                             {"jobs", 1},
-                             {"lanes", options.batch_lanes}});
-      return out;
-    }
-
-    // Thread-level parallelism on top: contiguous episode ranges, one per
-    // worker, each running its own lane fleet. Contiguity keeps every
-    // episode's (seed, slot) pairing independent of the split.
-    const int workers = std::min(jobs, episodes);
-    WorkStealingPool pool(workers);
-    std::vector<std::future<void>> pending;
-    pending.reserve(static_cast<std::size_t>(workers));
-    const int base = episodes / workers;
-    const int extra = episodes % workers;
-    int lo = 0;
-    for (int w = 0; w < workers; ++w) {
-      const int len = base + (w < extra ? 1 : 0);
-      const int hi = lo + len;
-      pending.push_back(pool.submit([&, lo, len, w] {
-        if (fault_injector().fire("runtime.worker")) {
-          throw Error(ErrorCode::Internal,
-                      "injected fault in rollout worker (range " +
-                          std::to_string(w) + ")");
-        }
-        run_episode_jobs_batched(
-            make_agent, make_attacker, config,
-            std::span<const EpisodeJob>(batch).subspan(
-                static_cast<std::size_t>(lo), static_cast<std::size_t>(len)),
-            options.batch_lanes, tick);
-      }));
-      lo = hi;
-    }
-    std::exception_ptr first_error;
-    for (auto& f : pending) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-    telemetry::emit_event("runtime.batch",
-                          {{"episodes", episodes},
-                           {"jobs", workers},
-                           {"lanes", options.batch_lanes}});
-    return out;
+  std::vector<EpisodeJob> jobs(out.size());
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    jobs[k] = {seed_base + k, options.with_reference, &out[k]};
   }
-
-  if (jobs <= 1 || episodes == 1) {
-    // Serial fast path: one context on the calling thread, no pool.
-    WorkerContext ctx = make_context(make_agent, make_attacker);
-    for (int k = 0; k < episodes; ++k) {
-      ADSEC_SPAN("runtime.episode");
-      out[static_cast<std::size_t>(k)] =
-          evaluate_episode(*ctx.agent, ctx.attacker.get(), config,
-                           seed_base + static_cast<std::uint64_t>(k),
-                           options.with_reference);
-      episodes_counter().inc();
-      if (options.on_progress) options.on_progress(k + 1, episodes);
-    }
-    telemetry::emit_event("runtime.batch", {{"episodes", episodes}, {"jobs", 1}});
-    return out;
-  }
-
-  WorkStealingPool pool(std::min(jobs, episodes));
-  // One lazily built context per worker. Slot w is only ever touched by
-  // worker thread w, so no lock is needed.
-  std::vector<std::unique_ptr<WorkerContext>> contexts(
-      static_cast<std::size_t>(pool.size()));
-  std::atomic<int> done{0};
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(static_cast<std::size_t>(episodes));
-  for (int k = 0; k < episodes; ++k) {
-    pending.push_back(pool.submit([&, k] {
-      if (fault_injector().fire("runtime.worker")) {
-        throw Error(ErrorCode::Internal,
-                    "injected fault in rollout worker (episode " +
-                        std::to_string(k) + ")");
-      }
-      const int w = WorkStealingPool::current_worker_index();
-      auto& ctx = contexts[static_cast<std::size_t>(w)];
-      if (!ctx) {
-        ctx = std::make_unique<WorkerContext>(
-            make_context(make_agent, make_attacker));
-      }
-      ADSEC_SPAN("runtime.episode");
-      out[static_cast<std::size_t>(k)] =
-          evaluate_episode(*ctx->agent, ctx->attacker.get(), config,
-                           seed_base + static_cast<std::uint64_t>(k),
-                           options.with_reference);
-      episodes_counter().inc();
-      if (options.on_progress) {
-        options.on_progress(done.fetch_add(1) + 1, episodes);
-      }
-    }));
-  }
-
-  // Wait for everything; surface the lowest-episode-index failure (the one
-  // the serial loop would have hit first).
-  std::exception_ptr first_error;
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-  telemetry::emit_event("runtime.batch",
-                        {{"episodes", episodes}, {"jobs", pool.size()}});
+  ExecuteOptions exec;
+  exec.threads = options.jobs > 0 ? options.jobs : hardware_jobs();
+  exec.lanes = options.batch_lanes;
+  exec.on_progress = options.on_progress;
+  execute(make_agent, make_attacker, config, jobs, exec);
+  telemetry::emit_event("runtime.batch", {{"episodes", episodes},
+                                          {"jobs", std::min(exec.threads, episodes)},
+                                          {"lanes", options.batch_lanes}});
   return out;
 }
 

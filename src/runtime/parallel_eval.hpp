@@ -1,20 +1,17 @@
-// Deterministic parallel episode scheduler.
-//
-// Episodes of a batch are independent once the agent/attacker are reset —
-// run_episode seeds a fresh Rng and World from `seed` and every stateful
-// actor re-initializes in reset() — so a batch parallelizes by *episode*
-// with no coordination beyond result placement. The determinism contract:
+// Parallel run_batch: episode k of a batch becomes job k (seed_base + k,
+// result slot k) of the episode executor (runtime/executor.hpp). The
+// determinism contract:
 //
 //   run_batch_parallel(make_agent, make_attacker, cfg, n, seed_base, ...)
 //     == run_batch(agent, attacker, cfg, n, seed_base, ...)
 //
-// element-wise bit-identical, for ANY jobs count, because episode k always
-// uses seed_base + k, writes result slot k, and runs on a freshly reset
-// per-worker agent/attacker pair built by the factories. Work stealing
-// decides only *where* an episode runs, never *what* it computes.
+// element-wise bit-identical, for ANY jobs and lanes count, because every
+// episode runs on a freshly reset agent/attacker pair built by the
+// factories. Scheduling decides only *where* an episode runs, never *what*
+// it computes.
 //
-// Factories are invoked at most once per pool worker, concurrently; they
-// must not mutate shared state (see core/experiment.hpp).
+// Factories are invoked at most once per lane of each worker, concurrently;
+// they must not mutate shared state (see core/experiment.hpp).
 #pragma once
 
 #include "core/experiment.hpp"
@@ -26,11 +23,10 @@ struct ParallelEvalOptions {
   int jobs = 0;                // <= 0 => hardware_jobs()
   bool with_reference = false; // fill deviation_rmse via a reference rollout
 
-  // Episode lanes per worker: > 1 routes episodes through the
-  // step-synchronized lane scheduler (runtime/lane_scheduler.hpp), which
-  // batches the policy forward across in-flight episodes. Results stay
-  // bit-identical for any value — episode k still uses seed_base + k and
-  // slot k — so this is purely a throughput knob.
+  // Episode lanes per worker: > 1 steps that many in-flight episodes in
+  // lockstep and batches their policy forward (runtime/executor.hpp).
+  // Results stay bit-identical for any value — episode k still uses
+  // seed_base + k and slot k — so this is purely a throughput knob.
   int batch_lanes = 1;
 
   // Called after each finished episode with (episodes done, total), from

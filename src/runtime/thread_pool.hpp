@@ -58,8 +58,8 @@ class WorkStealingPool {
   int size() const { return size_; }
 
   // Index of the calling thread within its pool ([0, size)), or -1 when
-  // called from a thread that is not a pool worker. Per-worker contexts in
-  // the episode scheduler key off this.
+  // called from a thread that is not a pool worker. The evaluation
+  // server's per-worker actor caches key off this.
   static int current_worker_index();
 
   // Snapshot of per-worker scheduling counters (one entry per worker).

@@ -1,14 +1,14 @@
 #include "serve/server.hpp"
 
+#include <cstdio>
 #include <map>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "common/table.hpp"
 #include "runtime/aggregate.hpp"
-#include "runtime/lane_scheduler.hpp"
+#include "runtime/executor.hpp"
 #include "serve/json.hpp"
 #include "serve/spec.hpp"
 #include "telemetry/telemetry.hpp"
@@ -48,12 +48,20 @@ ResultRecord status_record(const EvalRequest& request, const char* status) {
   return rec;
 }
 
+// The axes that change the constructed agent/attacker pair: the key of the
+// per-worker fleet cache. The budget is keyed on its exact bits — budgets
+// that print alike at any precision are still different attackers.
+std::string actor_key(const EvalRequest& r) {
+  char budget[32];
+  std::snprintf(budget, sizeof budget, "%a", r.budget);
+  return r.agent + "|" + r.attacker + "|" + budget;
+}
+
 // Every axis that changes the resolved experiment. Two requests with the
 // same key run the exact same spec (only id, seed, and episode count may
-// differ), which is what makes coalescing them into one lane fleet safe.
+// differ), which is what makes coalescing them into one executor run safe.
 std::string spec_key(const EvalRequest& r) {
-  return r.agent + "|" + r.attacker + "|" + fmt(r.budget, 6) + "|" + r.scenario +
-         (r.with_reference ? "|ref" : "|noref");
+  return actor_key(r) + "|" + r.scenario + (r.with_reference ? "|ref" : "|noref");
 }
 
 // Coalescing bound: keeps one giant burst of identical requests from
@@ -61,8 +69,8 @@ std::string spec_key(const EvalRequest& r) {
 constexpr std::size_t kMaxCoalesce = 8;
 
 // Aggregate one request's ordered episode metrics into its terminal
-// record — shared by the serial and lane-batched paths so coalescing
-// cannot change what a "done" record reports.
+// record — per request, so coalescing cannot change what a "done" record
+// reports.
 ResultRecord summarize(const EvalRequest& req,
                        const std::vector<EpisodeMetrics>& ms) {
   EpisodeAggregator agg;
@@ -83,17 +91,11 @@ ResultRecord summarize(const EvalRequest& req,
 
 }  // namespace
 
-// Per-pool-worker actor caches. Slot w is only ever touched by worker
-// thread w (the dispatcher hands a request to exactly one worker), so the
-// per-slot maps need no locks — the same single-writer discipline the
-// parallel episode scheduler uses for its contexts.
+// Per-pool-worker actor caches: one lane fleet per actor_key. Slot w is
+// only ever touched by worker thread w (the dispatcher hands a group to
+// exactly one worker), so the per-slot maps need no locks.
 struct EvalServer::WorkerCaches {
-  struct Actors {
-    std::unique_ptr<DrivingAgent> agent;
-    std::unique_ptr<Attacker> attacker;  // null => nominal driving
-  };
-  // Key: agent|attacker|budget — the axes that change the constructed pair.
-  std::vector<std::map<std::string, Actors>> per_worker;
+  std::vector<std::map<std::string, LaneFleet>> per_worker;
 };
 
 EvalServer::EvalServer(const ServerOptions& options, ResultCallback default_sink)
@@ -254,7 +256,7 @@ void EvalServer::dispatcher_loop() {
       ++in_flight_;
     }
     pool_->submit([this, group] {
-      execute_group(*group);
+      run_group(*group);
       // Notify under the lock: the destructor may destroy slots_cv_ as soon
       // as the dispatcher observes in_flight_ == 0, and holding mu_ through
       // the notify orders this call before that observation.
@@ -270,18 +272,11 @@ void EvalServer::dispatcher_loop() {
   slots_cv_.notify_all();
 }
 
-void EvalServer::execute_group(std::vector<PendingRequest>& group) {
-  if (options_.batch_lanes <= 1) {
-    // Classic path: the dispatcher never coalesces here, so the group is
-    // a single request.
-    execute(group.front());
-    return;
-  }
-
-  // One rooted trace for the whole coalesced dispatch, adopting the first
-  // request's submit-side context (per-request spans cannot interleave on
-  // one thread; the per-request records and events below still carry each
-  // request's identity and timing).
+void EvalServer::run_group(std::vector<PendingRequest>& group) {
+  // One rooted trace per dispatch, adopting the first request's submit-side
+  // context (per-request spans cannot interleave on one thread; the
+  // per-request records and events below still carry each request's
+  // identity and timing).
   telemetry::SpanGuard span("serve.request", group.front().trace);
   const std::uint64_t start_ns = telemetry::monotonic_ns();
   for (auto& p : group) emit(p.sink, status_record(p.request, "running"));
@@ -295,23 +290,30 @@ void EvalServer::execute_group(std::vector<PendingRequest>& group) {
       throw Error(ErrorCode::Internal, "injected fault in serve worker (request " +
                                            group.front().request.id + ")");
     }
-    // All requests share one resolved spec (coalescing key) and one lane
-    // fleet; request r's episode k keeps its serial seed (r.seed + k) and
-    // result slot, so each terminal record is bit-identical to a solo run.
+    // All requests share one resolved spec (the coalescing key) and this
+    // worker's cached fleet for it; request r's episode k keeps its serial
+    // seed (r.seed + k) and result slot, so each terminal record is
+    // bit-identical to a solo run. Reused actors cannot leak state across
+    // requests: every episode resets them.
     const ResolvedSpec spec = resolve_spec(*zoo_, group.front().request);
+    auto& cache =
+        caches_->per_worker[static_cast<std::size_t>(WorkStealingPool::current_worker_index())];
+    const auto [fleet, miss] = cache.try_emplace(actor_key(group.front().request));
+    (miss ? server_metrics().cache_miss : server_metrics().cache_hit).inc();
+
     std::vector<std::vector<EpisodeMetrics>> per_request(group.size());
     std::vector<EpisodeJob> jobs;
     for (std::size_t r = 0; r < group.size(); ++r) {
       const EvalRequest& req = group[r].request;
       per_request[r].resize(static_cast<std::size_t>(req.episodes));
-      for (int k = 0; k < req.episodes; ++k) {
-        jobs.push_back({req.seed + static_cast<std::uint64_t>(k),
-                        req.with_reference,
-                        &per_request[r][static_cast<std::size_t>(k)]});
+      for (std::size_t k = 0; k < per_request[r].size(); ++k) {
+        jobs.push_back({req.seed + k, req.with_reference, &per_request[r][k]});
       }
     }
-    run_episode_jobs_batched(spec.agent, spec.attacker, spec.config, jobs,
-                             options_.batch_lanes);
+    ExecuteOptions exec;
+    exec.lanes = options_.batch_lanes;
+    exec.fleet = &fleet->second;
+    execute(spec.agent, spec.attacker, spec.config, jobs, exec);
     for (std::size_t r = 0; r < group.size(); ++r) {
       recs[r] = summarize(group[r].request, per_request[r]);
     }
@@ -355,85 +357,6 @@ void EvalServer::execute_group(std::vector<PendingRequest>& group) {
                            {"coalesced", static_cast<std::uint64_t>(group.size())}});
     emit(group[r].sink, rec);
   }
-}
-
-void EvalServer::execute(PendingRequest& pending) {
-  // Adopt the submit-side context: everything below (including run_batch's
-  // episode spans) hangs off this request's trace.
-  telemetry::SpanGuard span("serve.request", pending.trace);
-  const EvalRequest& req = pending.request;
-  const std::uint64_t start_ns = telemetry::monotonic_ns();
-  emit(pending.sink, status_record(req, "running"));
-
-  ResultRecord rec;
-  try {
-    if (options_.on_request_start) options_.on_request_start(req);
-    if (fault_injector().fire("serve.worker")) {
-      throw Error(ErrorCode::Internal,
-                  "injected fault in serve worker (request " + req.id + ")");
-    }
-    rec = run_request(req);
-  } catch (const Error& e) {
-    rec = status_record(req, "failed");
-    rec.error_code = error_code_name(e.code());
-    rec.error = e.what();
-  } catch (const std::exception& e) {
-    rec = status_record(req, "failed");
-    rec.error_code = error_code_name(ErrorCode::Internal);
-    rec.error = e.what();
-  }
-
-  const std::uint64_t end_ns = telemetry::monotonic_ns();
-  rec.queue_ns = start_ns - pending.enqueue_ns;
-  rec.run_ns = end_ns - start_ns;
-  const double total_ms =
-      static_cast<double>(end_ns - pending.enqueue_ns) / 1e6;
-  class_latency_histogram(rec.request_class.empty() ? request_class(req)
-                                                    : rec.request_class)
-      .observe(total_ms);
-  server_metrics().queue_ms.observe(static_cast<double>(rec.queue_ns) / 1e6);
-  if (rec.status == "done") {
-    server_metrics().completed.inc();
-  } else {
-    server_metrics().failed.inc();
-    telemetry::flight_note("serve.request_failed");
-  }
-  telemetry::emit_event("serve.request",
-                        {{"id", req.id},
-                         {"class", request_class(req)},
-                         {"status", rec.status},
-                         {"latency_ms", total_ms}});
-  emit(pending.sink, rec);
-}
-
-ResultRecord EvalServer::run_request(const EvalRequest& req) {
-  // Per-worker actor reuse: repeated (agent, attacker, budget) keys skip
-  // zoo loads and agent construction entirely. run_episode resets every
-  // actor at episode start, so reuse cannot leak state across requests
-  // (the same contract the parallel scheduler relies on).
-  const int w = WorkStealingPool::current_worker_index();
-  auto& cache = caches_->per_worker[static_cast<std::size_t>(w)];
-  const std::string key = req.agent + "|" + req.attacker + "|" + fmt(req.budget, 6);
-  auto it = cache.find(key);
-  ResolvedSpec spec = resolve_spec(*zoo_, req);
-  if (it == cache.end()) {
-    server_metrics().cache_miss.inc();
-    WorkerCaches::Actors actors;
-    actors.agent = spec.agent();
-    if (spec.attacker) actors.attacker = spec.attacker();
-    it = cache.emplace(key, std::move(actors)).first;
-  } else {
-    server_metrics().cache_hit.inc();
-  }
-
-  // Episodes run serially inside the request: request-level parallelism is
-  // the server's scaling axis, and the serial path keeps every request
-  // bit-identical to `adsec_cli --seed <seed> --episodes <n>`.
-  const std::vector<EpisodeMetrics> ms =
-      run_batch(*it->second.agent, it->second.attacker.get(), spec.config,
-                req.episodes, req.seed, req.with_reference);
-
-  return summarize(req, ms);
 }
 
 void EvalServer::drain() {

@@ -15,9 +15,10 @@
 //        ▼
 //   pool worker ("running" record) ── resolves the spec against the shared
 //        PolicyZoo (single-flight on first train/load), reuses its own
-//        cached agent/attacker for repeated (agent, attacker, budget) keys,
-//        rolls the episode batch serially (seed base + k, bit-identical to
-//        adsec_cli), and emits the terminal record with metrics + timing.
+//        cached lane fleet for repeated (agent, attacker, budget) keys,
+//        rolls the episodes through the episode executor on this thread
+//        (seed base + k, bit-identical to adsec_cli), and emits the
+//        terminal record with metrics + timing.
 //
 // Shutdown: drain() closes the queue (new submissions reject with
 // "shutting_down"), waits until every admitted request has answered, and
@@ -52,10 +53,10 @@ struct ServerOptions {
   std::size_t queue_depth{64};  // admitted-but-not-started bound
 
   // Episode lanes for cross-episode batched inference (see
-  // runtime/lane_scheduler.hpp). > 1 additionally lets the dispatcher
-  // coalesce queued same-spec requests into one lane-batched evaluation
-  // occupying a single worker slot; every request keeps its own seeds,
-  // aggregation, and terminal record, bit-identical to a solo run.
+  // runtime/executor.hpp). > 1 additionally lets the dispatcher coalesce
+  // queued same-spec requests into one group occupying a single worker
+  // slot; every request keeps its own seeds, aggregation, and terminal
+  // record, bit-identical to a solo run.
   int batch_lanes{1};
 
   // After this many consecutive admission rejections the server dumps the
@@ -111,11 +112,9 @@ class EvalServer {
 
   void emit(const ResultCallback& sink, const ResultRecord& record);
   void dispatcher_loop();
-  void execute(PendingRequest& pending);
-  // Coalesced same-spec requests: one lane-batched rollout, one terminal
-  // record per request. `group` has >= 1 element.
-  void execute_group(std::vector<PendingRequest>& group);
-  ResultRecord run_request(const EvalRequest& request);
+  // Same-spec requests (one unless batch_lanes > 1 coalesced more): one
+  // executor run over all their episodes, one terminal record per request.
+  void run_group(std::vector<PendingRequest>& group);
 
   ServerOptions options_;
   int workers_{1};

@@ -3,7 +3,7 @@
 //     oracle (exact for scalar, ulp-tolerance for the FMA tier);
 //   * WITHIN a tier, a row pushed through a batched B x k forward is
 //     bit-identical to the same row pushed through a 1 x k forward — the
-//     property the cross-episode lane scheduler's batched == serial
+//     property the episode executor's lane-batched == serial
 //     guarantee bottoms out in;
 //   * repeated runs are bit-identical per tier;
 //   * ADSEC_SIMD / force_tier validation and the aligned-storage fix.

@@ -78,6 +78,7 @@ TEST_F(OrchDagTest, ComputesEveryCellAndCommitsAsItGoes) {
   EXPECT_TRUE(report.failures.empty());
   EXPECT_EQ(store.finished_cells(), 4u);
   EXPECT_EQ(counter_value("orch.cells_computed"), 4u);
+  EXPECT_EQ(counter_value("runtime.episodes"), 4u);  // 4 cells x 1 episode
 }
 
 TEST_F(OrchDagTest, SecondRunServesEverythingFromTheStore) {
@@ -92,6 +93,7 @@ TEST_F(OrchDagTest, SecondRunServesEverythingFromTheStore) {
   EXPECT_EQ(resumed.cells_computed, 0);
   EXPECT_EQ(counter_value("orch.cells_computed"), 0u);
   EXPECT_EQ(counter_value("orch.cells_cached"), 4u);
+  EXPECT_EQ(counter_value("runtime.episodes"), 0u);
 }
 
 TEST_F(OrchDagTest, InvalidNamesFailUpfrontWithConfig) {

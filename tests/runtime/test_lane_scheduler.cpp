@@ -1,4 +1,4 @@
-// The determinism contract of the episode-lane scheduler: batched
+// The determinism contract of the episode executor's lane loop: batched
 // cross-episode inference returns EpisodeMetrics element-wise
 // BIT-IDENTICAL to the serial evaluate_episode loop, for ANY lane count
 // and ANY jobs count — for batchable (BatchPolicy) and non-batchable
@@ -6,7 +6,7 @@
 // rollouts. EXPECT_EQ on doubles is deliberate: the contract is exact
 // equality, not tolerance. This is what makes --batch-lanes a pure
 // throughput knob.
-#include "runtime/lane_scheduler.hpp"
+#include "runtime/executor.hpp"
 
 #include <gtest/gtest.h>
 
@@ -75,7 +75,9 @@ void expect_lane_parity(const AgentFactory& make_agent,
           seed_base + static_cast<std::uint64_t>(k), with_reference,
           &batched[static_cast<std::size_t>(k)]};
     }
-    run_episode_jobs_batched(make_agent, make_attacker, cfg, jobs, lanes);
+    ExecuteOptions opt;
+    opt.lanes = lanes;
+    execute(make_agent, make_attacker, cfg, jobs, opt);
     for (std::size_t k = 0; k < serial.size(); ++k) {
       SCOPED_TRACE("lanes=" + std::to_string(lanes) +
                    " episode=" + std::to_string(k));
@@ -104,7 +106,7 @@ TEST(LaneScheduler, ParityE2ENoiseAttackerReseedsPerEpisode) {
 }
 
 TEST(LaneScheduler, ParityNonBatchableAgentFallsBackPerLane) {
-  // ModularAgent does not implement BatchPolicy; the scheduler must still
+  // ModularAgent does not implement BatchPolicy; the executor must still
   // produce bit-identical results via the per-lane decide() fallback.
   AttackerFactory attacker = [] { return std::make_unique<ScriptedAttacker>(0.8); };
   expect_lane_parity(modular_factory(), attacker, /*with_reference=*/false, 8, 500);
@@ -112,7 +114,9 @@ TEST(LaneScheduler, ParityNonBatchableAgentFallsBackPerLane) {
 
 TEST(LaneScheduler, EmptyJobListIsANoop) {
   ExperimentConfig cfg;
-  run_episode_jobs_batched(e2e_factory(), {}, cfg, {}, 8);
+  ExecuteOptions opt;
+  opt.lanes = 8;
+  execute(e2e_factory(), {}, cfg, {}, opt);
 }
 
 TEST(LaneScheduler, OnJobDoneFiresOncePerJob) {
@@ -125,14 +129,19 @@ TEST(LaneScheduler, OnJobDoneFiresOncePerJob) {
         &out[static_cast<std::size_t>(k)]};
   }
   std::multiset<int> done;
-  run_episode_jobs_batched(e2e_factory(), {}, cfg, jobs, 4,
-                           [&](int j) { done.insert(j); });
+  ExecuteOptions opt;
+  opt.lanes = 4;
+  opt.on_progress = [&](int d, int total) {
+    EXPECT_EQ(total, 6);
+    done.insert(d);
+  };
+  execute(e2e_factory(), {}, cfg, jobs, opt);
   EXPECT_EQ(done.size(), 6u);
-  for (int k = 0; k < 6; ++k) EXPECT_EQ(done.count(k), 1u);
+  for (int k = 1; k <= 6; ++k) EXPECT_EQ(done.count(k), 1u);
 }
 
 // The end-to-end wiring: run_batch_parallel with batch_lanes > 1 must stay
-// bit-identical to the classic per-episode path, for every (jobs, lanes)
+// bit-identical to serial run_batch, for every (jobs, lanes)
 // combination — batching composes with thread-level parallelism.
 TEST(LaneScheduler, RunBatchParallelBatchLanesParity) {
   ExperimentConfig cfg;

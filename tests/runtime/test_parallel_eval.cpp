@@ -1,8 +1,9 @@
 // The determinism contract of the parallel rollout runtime: for a fixed
 // seed base, run_batch_parallel returns EpisodeMetrics element-wise
-// BIT-IDENTICAL to the serial run_batch, for any jobs count — for both
-// agent architectures, with and without an attacker, with and without
-// reference rollouts. EXPECT_EQ on doubles below is deliberate: the
+// BIT-IDENTICAL to the serial run_batch, for any jobs and lanes count —
+// for both agent architectures, with and without an attacker, with and
+// without reference rollouts — and raises the error serial run_batch
+// would raise first. EXPECT_EQ on doubles below is deliberate: the
 // contract is exact equality, not tolerance.
 #include "runtime/parallel_eval.hpp"
 
@@ -20,6 +21,7 @@
 #include "agents/modular_agent.hpp"
 #include "attack/scripted_attacker.hpp"
 #include "sensors/camera.hpp"
+#include "sim/scenario.hpp"
 
 namespace adsec {
 namespace {
@@ -52,12 +54,19 @@ void expect_parity(const AgentFactory& make_agent, const AttackerFactory& make_a
       run_batch(*agent, attacker.get(), cfg, episodes, seed_base, with_reference);
 
   for (const int jobs : {1, 2, 3, 4, 7}) {
-    const auto parallel = run_batch_parallel(make_agent, make_attacker, cfg, episodes,
-                                             seed_base, with_reference, jobs);
-    ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs;
-    for (std::size_t k = 0; k < serial.size(); ++k) {
-      SCOPED_TRACE("jobs=" + std::to_string(jobs) + " episode=" + std::to_string(k));
-      expect_identical(parallel[k], serial[k]);
+    for (const int lanes : {1, 4}) {
+      ParallelEvalOptions opt;
+      opt.jobs = jobs;
+      opt.batch_lanes = lanes;
+      opt.with_reference = with_reference;
+      const auto parallel =
+          run_batch_parallel(make_agent, make_attacker, cfg, episodes, seed_base, opt);
+      ASSERT_EQ(parallel.size(), serial.size()) << "jobs=" << jobs << " lanes=" << lanes;
+      for (std::size_t k = 0; k < serial.size(); ++k) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs) + " lanes=" + std::to_string(lanes) +
+                     " episode=" + std::to_string(k));
+        expect_identical(parallel[k], serial[k]);
+      }
     }
   }
 }
@@ -77,6 +86,41 @@ AgentFactory e2e_factory() {
     return std::make_unique<E2EAgent>(policy, CameraConfig{}, 3);
   };
 }
+
+// The initial NPC layout of a seed's world: EpisodeRunner builds the world
+// from the seed alone, so this tells the seeds of one batch apart.
+std::vector<double> npc_layout(const World& world) {
+  std::vector<double> layout;
+  for (const Npc& npc : world.npcs()) {
+    layout.push_back(npc.frenet().s);
+    layout.push_back(npc.frenet().d);
+  }
+  return layout;
+}
+
+// A modular agent whose reset() throws on the worlds of chosen seeds,
+// naming the seed — the reference and the scored rollout of a seed both
+// reset on its world, so either trips it.
+class SeedRefusingAgent : public ModularAgent {
+ public:
+  explicit SeedRefusingAgent(std::vector<std::uint64_t> seeds) {
+    ExperimentConfig cfg;
+    for (const std::uint64_t seed : seeds) {
+      Rng rng(seed);
+      refused_.emplace_back(seed, npc_layout(make_scenario(cfg.scenario, rng)));
+    }
+  }
+  void reset(const World& world) override {
+    const std::vector<double> layout = npc_layout(world);
+    for (const auto& [seed, refused] : refused_) {
+      if (layout == refused) throw std::runtime_error("refused seed " + std::to_string(seed));
+    }
+    ModularAgent::reset(world);
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, std::vector<double>>> refused_;
+};
 
 TEST(ParallelEval, ParityModularNominal) {
   expect_parity(modular_factory(), {}, /*with_reference=*/false, 10, 500);
@@ -194,6 +238,47 @@ TEST(ParallelEval, FirstEpisodeExceptionPropagates) {
                std::runtime_error);
   EXPECT_THROW(run_batch_parallel(throwing, {}, cfg, 4, 1, false, 1),
                std::runtime_error);
+
+  // Two failing episodes: whatever order the workers hit them in, the
+  // error raised is the lower seed's — the one serial run_batch raises.
+  constexpr std::uint64_t kBase = 500;
+  const std::vector<std::uint64_t> refused = {kBase + 2, kBase + 3};
+  std::set<std::vector<double>> layouts;
+  for (std::uint64_t seed = kBase; seed < kBase + 10; ++seed) {
+    Rng rng(seed);
+    layouts.insert(npc_layout(make_scenario(cfg.scenario, rng)));
+  }
+  ASSERT_EQ(layouts.size(), 10u) << "seeds of the batch must build distinct worlds";
+  const AgentFactory refusing = [&refused] {
+    return std::make_unique<SeedRefusingAgent>(refused);
+  };
+  const AttackerFactory attacker = [] { return std::make_unique<ScriptedAttacker>(0.8); };
+  for (const bool with_reference : {false, true}) {
+    SeedRefusingAgent serial_agent(refused);
+    ScriptedAttacker serial_attacker(0.8);
+    try {
+      run_batch(serial_agent, &serial_attacker, cfg, 10, kBase, with_reference);
+      FAIL() << "serial run_batch must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "refused seed 502");
+    }
+    for (const int jobs : {1, 3}) {
+      for (const int lanes : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs) + " lanes=" + std::to_string(lanes) +
+                     " with_reference=" + std::to_string(with_reference));
+        ParallelEvalOptions opt;
+        opt.jobs = jobs;
+        opt.batch_lanes = lanes;
+        opt.with_reference = with_reference;
+        try {
+          run_batch_parallel(refusing, attacker, cfg, 10, kBase, opt);
+          ADD_FAILURE() << "expected the refused seed's error";
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), "refused seed 502");
+        }
+      }
+    }
+  }
 }
 
 TEST(ParallelEval, InjectedWorkerFaultSurfacesAsStructuredError) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -98,6 +99,13 @@ class ServeServerTest : public ::testing::Test {
   double saved_scale_{1.0};
 };
 
+std::uint64_t counter_value(const char* name) {
+  for (const auto& [n, v] : telemetry::metrics_snapshot().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
 EvalRequest grid_request(const std::string& id, const std::string& attacker,
                          std::uint64_t seed, int episodes, bool with_reference) {
   EvalRequest req;
@@ -113,10 +121,11 @@ EvalRequest grid_request(const std::string& id, const std::string& attacker,
 
 // The issue's acceptance scenario: a >= 50 request mixed grid through a
 // bounded queue. Every admitted request answers exactly once, per-seed
-// results are bit-identical to the equivalent serial run (the adsec_cli
-// code path — both go through resolve_spec + run_batch), repeated classes
-// hit the per-worker actor cache, and the final report carries
-// p50/p90/p95/p99 for every request class.
+// results are bit-identical to the equivalent serial run (adsec_cli and the
+// server both go through resolve_spec + the episode executor), every
+// episode is counted in runtime.episodes, repeated classes hit the
+// per-worker actor cache, and the final report carries p50/p90/p95/p99 for
+// every request class.
 TEST_F(ServeServerTest, MixedGridMatchesSerialRunsExactlyOnce) {
   PolicyZoo zoo(dir_);
   Recorder rec;
@@ -141,6 +150,9 @@ TEST_F(ServeServerTest, MixedGridMatchesSerialRunsExactlyOnce) {
     for (const auto& req : grid) server.submit(req);
     server.drain();
   }
+  std::uint64_t grid_episodes = 0;
+  for (const auto& req : grid) grid_episodes += static_cast<std::uint64_t>(req.episodes);
+  EXPECT_EQ(counter_value("runtime.episodes"), grid_episodes);
 
   // Exactly one terminal record per request, in queued -> running -> done
   // order, every one admitted (the queue was sized for the grid).
@@ -288,6 +300,12 @@ TEST_F(ServeServerTest, DrainMidFlightAnswersEverythingExactlyOnce) {
   int probes = 0;
   bool saw_shutdown_reject = false;
   while (!saw_shutdown_reject) {
+    // Nothing leaves the queue while r1 is held, so once the probes have
+    // filled it, a probe racing the drainer thread's close() would be
+    // rejected as queue_full. Give the close time to land first.
+    if (build_latency_report().queue_depth >= static_cast<double>(opts.queue_depth)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    }
     const std::string id = "p" + std::to_string(probes++);
     server.submit(grid_request(id, "noise", 200, 1, false));
     const ResultRecord t = rec.terminal(id);
@@ -664,6 +682,8 @@ TEST_F(ServeServerTest, BatchLanesCoalescesSameSpecRequestsBitIdentical) {
     server.drain();
   }
   telemetry::close_event_log();
+  // blk1 + blk2 + the coalesced group's 1 + 2 + 3 + 1 episodes.
+  EXPECT_EQ(counter_value("runtime.episodes"), 9u);
 
   EXPECT_EQ(rec.terminal("blk1").status, "done");
   EXPECT_EQ(rec.terminal("blk2").status, "done");
@@ -705,6 +725,52 @@ TEST_F(ServeServerTest, BatchLanesCoalescesSameSpecRequestsBitIdentical) {
     }
   }
   EXPECT_TRUE(saw_coalesce) << "expected a serve.coalesce event for 4 requests";
+}
+
+// Budgets that print alike at 6 decimals are still different experiments:
+// on one worker, a request at 0.5000001 after one at 0.5 must not reuse the
+// cached 0.5 attacker. The fleet cache and the coalescing key use the
+// budget's exact bits.
+TEST_F(ServeServerTest, BudgetsThatPrintAlikeGetTheirOwnActors) {
+  PolicyZoo zoo(dir_);
+  Recorder rec;
+  std::vector<EvalRequest> reqs = {grid_request("b0", "oracle", 4242, 2, false),
+                                   grid_request("b1", "oracle", 4242, 2, false)};
+  reqs[0].budget = 0.5;
+  reqs[1].budget = 0.5000001;
+
+  std::vector<EpisodeAggregator> solo(reqs.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const ResolvedSpec spec = resolve_spec(zoo, reqs[i]);
+    auto agent = spec.agent();
+    auto attacker = spec.attacker ? spec.attacker() : nullptr;
+    for (const auto& m : run_batch(*agent, attacker.get(), spec.config, reqs[i].episodes,
+                                   reqs[i].seed, reqs[i].with_reference)) {
+      solo[i].add(m);
+    }
+  }
+  // The two solo runs must differ in what a record reports, or the test
+  // could not tell a stale cached attacker from the right one.
+  ASSERT_NE(solo[0].attack_effort().mean(), solo[1].attack_effort().mean());
+
+  ServerOptions opts;
+  opts.workers = 1;
+  opts.queue_depth = 4;
+  opts.zoo = &zoo;
+  {
+    EvalServer server(opts, rec.sink());
+    for (const auto& req : reqs) server.submit(req);
+    server.drain();
+  }
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const EpisodeAggregator& agg = solo[i];
+    const ResultRecord served = rec.terminal(reqs[i].id);
+    ASSERT_EQ(served.status, "done") << reqs[i].id;
+    EXPECT_EQ(served.mean_attack_effort, agg.attack_effort().mean()) << reqs[i].id;
+    EXPECT_EQ(served.mean_adv_reward, agg.adv_reward().mean()) << reqs[i].id;
+    EXPECT_EQ(served.mean_nominal_reward, agg.nominal_reward().mean()) << reqs[i].id;
+    EXPECT_EQ(served.collisions, agg.collisions()) << reqs[i].id;
+  }
 }
 
 }  // namespace
