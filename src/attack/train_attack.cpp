@@ -107,9 +107,8 @@ GaussianPolicy train_attacker(const AttackTrainSpec& spec,
 
   // Deploy the best-evaluated iterate (the adversarial reward is noisy).
   if (tr.best_actor) {
-    Rng eval_rng(7);
     const double final_ret =
-        evaluate_policy(sac, env, 5, spec.train.eval_seed_base + 100, eval_rng);
+        evaluate_policy(sac, env, 5, spec.train.eval_seed_base + 100);
     if (tr.best_eval_return > final_ret) return *tr.best_actor;
   }
   return sac.actor();

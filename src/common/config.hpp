@@ -13,6 +13,7 @@
 //   ADSEC_LOG          debug|info|warn|error|off
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -31,10 +32,19 @@ struct RuntimeConfig {
 // Process-wide singleton (mutable for tests).
 RuntimeConfig& runtime_config();
 
-// Scale a step count by train_scale with a floor of `min_steps`.
+// Scale a step count by train_scale with a floor of `min_steps`; saturates
+// at INT_MAX.
 int scaled_steps(int nominal, int min_steps = 1);
 
 // Evaluation episode count honouring ADSEC_EPISODES.
 int eval_episodes(int nominal);
+
+// Strict numeric parsing for flags and environment variables: the whole
+// string must be one number, a double must be finite, an int must lie in
+// [min_value, 1e9] and a u64 must not be negative. std::stoi/std::stod
+// would read "10x" as 10 and accept "inf". On failure `out` is untouched.
+bool parse_double(const std::string& s, double& out);
+bool parse_int(const std::string& s, int min_value, int& out);
+bool parse_u64(const std::string& s, std::uint64_t& out);
 
 }  // namespace adsec

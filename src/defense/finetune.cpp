@@ -71,9 +71,8 @@ GaussianPolicy adversarial_finetune(const GaussianPolicy& original,
   // Deploy the best-evaluated iterate — evaluation in this env mixes attack
   // budgets per episode, so its score is exactly the quantity Fig. 6 plots.
   if (tr.best_actor) {
-    Rng eval_rng(5);
     const double final_ret =
-        evaluate_policy(sac, env, 6, spec.train.eval_seed_base + 50, eval_rng);
+        evaluate_policy(sac, env, 6, spec.train.eval_seed_base + 50);
     if (tr.best_eval_return > final_ret) return *tr.best_actor;
   }
   return sac.actor();

@@ -93,9 +93,8 @@ GaussianPolicy train_pnn_column(const GaussianPolicy& original,
   log_info("train_pnn_column: steps=%d", spec.train.total_steps);
   const TrainResult tr = train_sac(sac, env, spec.train);
   if (tr.best_actor) {
-    Rng eval_rng(5);
     const double final_ret =
-        evaluate_policy(sac, env, 6, spec.train.eval_seed_base + 50, eval_rng);
+        evaluate_policy(sac, env, 6, spec.train.eval_seed_base + 50);
     if (tr.best_eval_return > final_ret) return *tr.best_actor;
   }
   return sac.actor();

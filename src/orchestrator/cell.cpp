@@ -1,8 +1,9 @@
 #include "orchestrator/cell.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/serialize.hpp"
 
@@ -31,28 +32,26 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+// Grid values go through the same strict parsers as CLI flags.
 int parse_int_strict(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size()) {
+  int n = 0;
+  if (!parse_int(v, std::numeric_limits<int>::min(), n)) {
     throw Error(ErrorCode::Usage, "grid: bad integer for '" + key + "': " + v);
   }
-  return static_cast<int>(n);
+  return n;
 }
 
 std::uint64_t parse_u64_strict(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size()) {
+  std::uint64_t n = 0;
+  if (!parse_u64(v, n)) {
     throw Error(ErrorCode::Usage, "grid: bad integer for '" + key + "': " + v);
   }
-  return static_cast<std::uint64_t>(n);
+  return n;
 }
 
 double parse_double_strict(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size()) {
+  double d = 0.0;
+  if (!parse_double(v, d)) {
     throw Error(ErrorCode::Usage, "grid: bad number for '" + key + "': " + v);
   }
   return d;

@@ -36,6 +36,11 @@ DagMetrics& dag_metrics() {
   return m;
 }
 
+// Retry backoff: min(base << (attempt - 1), max) ms, times a jitter factor.
+constexpr double kBackoffBaseMs = 1.0;
+constexpr double kBackoffMaxMs = 50.0;
+constexpr std::uint64_t kBackoffSeed = 0x0badc0ffeeULL;
+
 // Transient failures are worth retrying: the same inputs may succeed on the
 // next attempt (I/O hiccup, admission backpressure, a corrupt artifact that
 // its owner re-creates, an internal fault from the chaos harness). Config,
@@ -79,7 +84,7 @@ class GridExecution {
 
   void run() {
     if (jobs_.empty()) return;
-    WorkStealingPool pool(options_.jobs);
+    ThreadPool pool(options_.jobs);
     std::thread watchdog;
     if (options_.deadline_ms > 0) {
       watchdog = std::thread([this] { watchdog_loop(); });
@@ -105,11 +110,11 @@ class GridExecution {
   }
 
  private:
-  void submit(WorkStealingPool& pool, std::size_t i) {
+  void submit(ThreadPool& pool, std::size_t i) {
     std::ignore = pool.submit([this, &pool, i] { run_job(pool, i); });
   }
 
-  void run_job(WorkStealingPool& pool, std::size_t i) {
+  void run_job(ThreadPool& pool, std::size_t i) {
     {
       MutexLock lock(mu_);
       Job& j = jobs_[i];
@@ -131,7 +136,7 @@ class GridExecution {
     telemetry::SpanGuard span(jobs_[i].span_name);
     telemetry::flight_note("orch.job_start", static_cast<std::uint64_t>(i));
     // Deterministic jitter stream per job index: reruns back off identically.
-    Rng jitter(options_.backoff_seed ^
+    Rng jitter(kBackoffSeed ^
                (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1)));
     int attempt = 0;
     while (true) {
@@ -165,9 +170,8 @@ class GridExecution {
 
   void back_off(int attempt, Rng& jitter) {
     const int shift = std::min(attempt - 1, 16);
-    double ms = static_cast<double>(options_.backoff_base_ms) *
-                static_cast<double>(1u << shift);
-    ms = std::min(ms, static_cast<double>(options_.backoff_max_ms));
+    double ms = kBackoffBaseMs * static_cast<double>(1u << shift);
+    ms = std::min(ms, kBackoffMaxMs);
     // Full jitter in [ms/2, ms): decorrelates retry storms while staying
     // deterministic for a given (seed, job, attempt).
     ms = ms * (0.5 + 0.5 * jitter.uniform());
@@ -180,7 +184,7 @@ class GridExecution {
     return jobs_[i].state == JobState::Running && crash_ == nullptr;
   }
 
-  void finish(WorkStealingPool& pool, std::size_t i, JobState state,
+  void finish(ThreadPool& pool, std::size_t i, JobState state,
               std::string error_class, std::string message) {
     std::vector<std::size_t> ready;
     {

@@ -1,5 +1,5 @@
 // Job DAG runner: expands a grid into train -> evaluate jobs, schedules
-// them over the work-stealing pool, and wraps every job in a robustness
+// them over the runtime's thread pool, and wraps every job in a robustness
 // envelope.
 //
 // Per-job envelope:
@@ -20,7 +20,6 @@
 // cell by content address and never recomputes it.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -46,9 +45,6 @@ struct JobOutcome {
 struct GridOptions {
   int jobs{1};             // pool width; <= 0 selects hardware_jobs()
   int max_retries{2};      // transient-failure retries per job
-  int backoff_base_ms{1};  // backoff = min(base << attempt, max) * jitter
-  int backoff_max_ms{50};
-  std::uint64_t backoff_seed{0x0badc0ffeeULL};  // jitter stream (deterministic)
   int deadline_ms{0};      // per-job deadline; 0 disables the watchdog
   int watchdog_poll_ms{5};
   std::function<void(int, int)> on_progress;  // (terminal jobs, total jobs)

@@ -9,7 +9,6 @@
 #include "common/logging.hpp"
 #include "nn/io.hpp"
 #include "rl/checkpoint.hpp"
-#include "runtime/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace adsec {
@@ -113,59 +112,12 @@ void TrainConfig::validate() const {
   }
 }
 
-double evaluate_policy(const Sac& sac, Env& env, int episodes, std::uint64_t seed_base,
-                       Rng& rng) {
-  (void)rng;  // deterministic evaluation never samples
+double evaluate_policy(const Sac& sac, Env& env, int episodes,
+                       std::uint64_t seed_base) {
   double total = 0.0;
   for (int k = 0; k < episodes; ++k) {
     total += rollout_deterministic(sac, env, seed_base + static_cast<std::uint64_t>(k));
   }
-  return total / episodes;
-}
-
-double evaluate_policy_parallel(const Sac& sac, const EnvFactory& make_env,
-                                int episodes, std::uint64_t seed_base, int jobs) {
-  if (episodes <= 0) return 0.0;
-  const int n = jobs > 0 ? jobs : hardware_jobs();
-  if (n <= 1 || episodes == 1) {
-    auto env = make_env();
-    Rng unused(0);
-    return evaluate_policy(sac, *env, episodes, seed_base, unused);
-  }
-
-  WorkStealingPool pool(std::min(n, episodes));
-  // Per-worker envs, slot w touched only by worker w (see parallel_eval).
-  std::vector<std::unique_ptr<Env>> envs(static_cast<std::size_t>(pool.size()));
-  std::vector<double> returns(static_cast<std::size_t>(episodes), 0.0);
-  std::vector<std::future<void>> pending;
-  pending.reserve(static_cast<std::size_t>(episodes));
-  for (int k = 0; k < episodes; ++k) {
-    pending.push_back(pool.submit([&, k] {
-      if (fault_injector().fire("trainer.eval_worker")) {
-        throw Error(ErrorCode::Internal, "injected fault in evaluation worker");
-      }
-      const int w = WorkStealingPool::current_worker_index();
-      auto& env = envs[static_cast<std::size_t>(w)];
-      if (!env) env = make_env();
-      returns[static_cast<std::size_t>(k)] =
-          rollout_deterministic(sac, *env, seed_base + static_cast<std::uint64_t>(k));
-    }));
-  }
-  // Drain every future before (possibly) rethrowing, so all workers are
-  // done touching `envs`/`returns` when the failure surfaces.
-  std::exception_ptr first_error;
-  for (auto& f : pending) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Sum in episode order: same floating-point result as the serial loop.
-  double total = 0.0;
-  for (const double r : returns) total += r;
   return total / episodes;
 }
 
@@ -370,13 +322,8 @@ TrainResult train_sac(Sac& sac, Env& env, const TrainConfig& config,
       double eval_ret;
       {
         ADSEC_SPAN("trainer.eval");
-        eval_ret =
-            (config.eval_env_factory && config.eval_jobs != 1)
-                ? evaluate_policy_parallel(sac, config.eval_env_factory,
-                                           config.eval_episodes,
-                                           config.eval_seed_base, config.eval_jobs)
-                : evaluate_policy(sac, env, config.eval_episodes,
-                                  config.eval_seed_base, rng);
+        eval_ret = evaluate_policy(sac, env, config.eval_episodes,
+                                   config.eval_seed_base);
       }
       st.result.eval_returns.push_back(eval_ret);
       trainer_metrics().evals.inc();

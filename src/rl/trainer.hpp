@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -13,12 +12,6 @@
 #include "rl/sac.hpp"
 
 namespace adsec {
-
-// Builds a fresh environment for one evaluation worker. Envs are stateful
-// and non-clonable (same contract as the runtime's agent factories), so
-// parallel evaluation constructs one per worker; the factory is invoked
-// concurrently and must only read shared state.
-using EnvFactory = std::function<std::unique_ptr<Env>()>;
 
 struct TrainConfig {
   int total_steps = 30000;
@@ -37,14 +30,6 @@ struct TrainConfig {
   // Episode seeds: training episodes use seed + episode index; evaluation
   // uses eval_seed_base + k to hold the eval scenarios fixed across runs.
   std::uint64_t eval_seed_base = 900000;
-
-  // When set and eval_jobs != 1, periodic evaluations run their episodes in
-  // parallel on the work-stealing pool (runtime/thread_pool), one fresh env
-  // per worker. Deterministic evaluation never consumes RNG, so the mean
-  // return is identical to the serial path. eval_jobs <= 0 selects
-  // hardware_concurrency.
-  EnvFactory eval_env_factory;
-  int eval_jobs = 1;
 
   // ---- Resilience (rl/checkpoint.hpp) ----
   // Every checkpoint_every steps the full trainer state is snapshotted in
@@ -99,14 +84,8 @@ struct TrainResult {
 };
 
 // Mean deterministic-policy return over `episodes` fresh episodes.
-double evaluate_policy(const Sac& sac, Env& env, int episodes, std::uint64_t seed_base,
-                       Rng& rng);
-
-// Parallel evaluate_policy: episode k runs on some pool worker's own env
-// with seed_base + k; per-episode returns are summed in episode order, so
-// the result equals the serial evaluate_policy for any jobs count.
-double evaluate_policy_parallel(const Sac& sac, const EnvFactory& make_env,
-                                int episodes, std::uint64_t seed_base, int jobs = 0);
+double evaluate_policy(const Sac& sac, Env& env, int episodes,
+                       std::uint64_t seed_base);
 
 // Optional per-evaluation callback (step, mean eval return).
 using EvalCallback = std::function<void(int, double)>;

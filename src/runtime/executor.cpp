@@ -276,7 +276,7 @@ void execute(const AgentFactory& make_agent, const AttackerFactory& make_attacke
     run_fleet(options.fleet != nullptr ? *options.fleet : local);
   } else {
     std::vector<LaneFleet> fleets(static_cast<std::size_t>(workers));
-    WorkStealingPool pool(workers);
+    ThreadPool pool(workers);
     std::vector<std::future<void>> pending;
     pending.reserve(fleets.size());
     for (LaneFleet& fleet : fleets) {

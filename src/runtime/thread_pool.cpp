@@ -1,6 +1,5 @@
 #include "runtime/thread_pool.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "telemetry/telemetry.hpp"
@@ -9,17 +8,15 @@ namespace adsec {
 
 namespace {
 
-// Identity of the current thread inside its owning pool. A plain
-// thread_local pair — nested pools are not supported (the inner pool's
-// workers are fresh threads, so they simply see their own identity).
-thread_local const WorkStealingPool* tl_pool = nullptr;
+// Index of the current thread inside its owning pool. Nested pools are not
+// supported (the inner pool's workers are fresh threads, so they simply see
+// their own identity).
 thread_local int tl_worker_index = -1;
 
 // Pool-wide scheduling metrics, aggregated across all pools in the process
 // (pools are scope-local; the registry outlives them all).
 struct PoolMetrics {
   telemetry::Counter tasks_run = telemetry::counter("runtime.tasks_run");
-  telemetry::Counter tasks_stolen = telemetry::counter("runtime.tasks_stolen");
   telemetry::Counter idle_ns = telemetry::counter("runtime.idle_ns");
   telemetry::Histogram queue_depth = telemetry::histogram(
       "runtime.queue_depth", {0, 1, 2, 4, 8, 16, 32, 64, 128, 256});
@@ -32,9 +29,8 @@ PoolMetrics& pool_metrics() {
 
 }  // namespace
 
-WorkStealingPool::WorkStealingPool(int threads)
+ThreadPool::ThreadPool(int threads)
     : size_(threads > 0 ? threads : hardware_jobs()) {
-  queues_.resize(static_cast<std::size_t>(size_));
   stats_.resize(static_cast<std::size_t>(size_));
   workers_.reserve(static_cast<std::size_t>(size_));
   for (int i = 0; i < size_; ++i) {
@@ -42,7 +38,7 @@ WorkStealingPool::WorkStealingPool(int threads)
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
+ThreadPool::~ThreadPool() {
   {
     MutexLock lock(mutex_);
     done_ = true;
@@ -52,76 +48,39 @@ WorkStealingPool::~WorkStealingPool() {
 
   // Workers have joined; stats_ is quiescent. Fold this pool's lifetime
   // totals into the process-wide counters and stream the per-worker
-  // breakdown so imbalance (one worker doing all the stealing) is visible
-  // in the run's event log.
+  // breakdown so imbalance is visible in the run's event log.
   for (std::size_t i = 0; i < stats_.size(); ++i) {
     const WorkerStats& s = stats_[i];
     pool_metrics().tasks_run.inc(s.tasks_run);
-    pool_metrics().tasks_stolen.inc(s.tasks_stolen);
     pool_metrics().idle_ns.inc(s.idle_ns);
     telemetry::emit_event("runtime.worker_stats",
                           {{"worker", static_cast<std::uint64_t>(i)},
                            {"tasks_run", s.tasks_run},
-                           {"tasks_stolen", s.tasks_stolen},
                            {"idle_ns", s.idle_ns}});
   }
 }
 
-std::vector<WorkerStats> WorkStealingPool::worker_stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
-}
+int ThreadPool::current_worker_index() { return tl_worker_index; }
 
-int WorkStealingPool::current_worker_index() { return tl_worker_index; }
-
-void WorkStealingPool::push(int worker, std::function<void()> task) {
+void ThreadPool::push(std::function<void()> task) {
   {
     MutexLock lock(mutex_);
-    if (done_) throw std::runtime_error("WorkStealingPool: submit after shutdown");
-    std::size_t home;
-    if (worker >= 0 && worker < size()) {
-      home = static_cast<std::size_t>(worker);
-    } else if (tl_pool == this) {
-      home = static_cast<std::size_t>(tl_worker_index);
-    } else {
-      home = next_++ % queues_.size();
-    }
-    queues_[home].push_back(std::move(task));
-    pool_metrics().queue_depth.observe(
-        static_cast<double>(queues_[home].size()));
+    if (done_) throw std::runtime_error("ThreadPool: submit after shutdown");
+    queue_.push_back(std::move(task));
+    pool_metrics().queue_depth.observe(static_cast<double>(queue_.size()));
   }
-  cv_.notify_all();
+  cv_.notify_one();
 }
 
-bool WorkStealingPool::try_take(int self, std::function<void()>& out) {
-  auto& own = queues_[static_cast<std::size_t>(self)];
-  if (!own.empty()) {  // own work: newest first
-    out = std::move(own.back());
-    own.pop_back();
-    return true;
-  }
-  const int n = size();
-  for (int i = 1; i < n; ++i) {  // steal: oldest first from the next victim
-    auto& victim = queues_[static_cast<std::size_t>((self + i) % n)];
-    if (!victim.empty()) {
-      out = std::move(victim.front());
-      victim.pop_front();
-      stats_[static_cast<std::size_t>(self)].tasks_stolen++;
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkStealingPool::worker_loop(int index) {
-  tl_pool = this;
+void ThreadPool::worker_loop(int index) {
   tl_worker_index = index;
   telemetry::set_thread_name("pool.worker-" + std::to_string(index));
   UniqueLock lock(mutex_);
   WorkerStats& my = stats_[static_cast<std::size_t>(index)];
   for (;;) {
-    std::function<void()> task;
-    if (try_take(index, task)) {
+    if (!queue_.empty()) {
+      std::function<void()> task = std::move(queue_.front());
+      queue_.pop_front();
       lock.unlock();
       task();  // packaged_task captures exceptions into the future
       task = nullptr;
@@ -129,7 +88,7 @@ void WorkStealingPool::worker_loop(int index) {
       my.tasks_run++;
       continue;
     }
-    if (done_) return;  // all deques drained and shutdown requested
+    if (done_) return;  // queue drained and shutdown requested
     const std::uint64_t idle_from = telemetry::monotonic_ns();
     cv_.wait(lock);
     my.idle_ns += telemetry::monotonic_ns() - idle_from;

@@ -115,7 +115,7 @@ EvalServer::EvalServer(const ServerOptions& options, ResultCallback default_sink
   // long-lived server finally hits something fatal.
   telemetry::set_metrics_enabled(true);
   telemetry::set_flight_enabled(true);
-  pool_ = std::make_unique<WorkStealingPool>(workers_);
+  pool_ = std::make_unique<ThreadPool>(workers_);
   caches_ = std::make_unique<WorkerCaches>();
   caches_->per_worker.resize(static_cast<std::size_t>(pool_->size()));
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -249,8 +249,8 @@ void EvalServer::dispatcher_loop() {
       }
     }
     {
-      // Hold dispatch until a worker slot frees: the queue depth, not the
-      // pool's internal deques, is the server's only backlog.
+      // Hold dispatch until a worker slot frees: the admission queue, not
+      // the pool's queue, is the server's only backlog.
       UniqueLock lock(mu_);
       while (in_flight_ >= workers_) slots_cv_.wait(lock);
       ++in_flight_;
@@ -297,7 +297,7 @@ void EvalServer::run_group(std::vector<PendingRequest>& group) {
     // requests: every episode resets them.
     const ResolvedSpec spec = resolve_spec(*zoo_, group.front().request);
     auto& cache =
-        caches_->per_worker[static_cast<std::size_t>(WorkStealingPool::current_worker_index())];
+        caches_->per_worker[static_cast<std::size_t>(ThreadPool::current_worker_index())];
     const auto [fleet, miss] = cache.try_emplace(actor_key(group.front().request));
     (miss ? server_metrics().cache_miss : server_metrics().cache_hit).inc();
 

@@ -1,5 +1,5 @@
 // The long-running evaluation server: admission control in front of the
-// work-stealing runtime, with per-worker actor caches and full telemetry.
+// runtime's thread pool, with per-worker actor caches and full telemetry.
 //
 // Request life cycle (every submitted line produces exactly one terminal
 // record — done, failed, or rejected — plus non-terminal status records):
@@ -11,7 +11,7 @@
 //        │ admitted ("queued" record)
 //        ▼
 //   dispatcher thread ── waits for a free worker slot, then hands the
-//        │               request to the WorkStealingPool
+//        │               request to the ThreadPool
 //        ▼
 //   pool worker ("running" record) ── resolves the spec against the shared
 //        PolicyZoo (single-flight on first train/load), reuses its own
@@ -123,7 +123,7 @@ class EvalServer {
   ResultCallback default_sink_;
 
   AdmissionQueue queue_;
-  std::unique_ptr<WorkStealingPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<WorkerCaches> caches_;
 
   mutable Mutex mu_;  // guards in_flight_, answered_, drained_

@@ -12,8 +12,8 @@
 // it; a span opened on a bare thread roots a new trace. Work that hops
 // threads stays causally linked: thread_pool::submit captures the
 // submitter's context and the executing worker adopts it (TraceContextScope),
-// so a stolen task's span parents to the *submitting* span, not to whatever
-// the stealing worker happened to be running. The Chrome export adds flow
+// so a task's span parents to the *submitting* span, not to whatever the
+// worker happened to run before it. The Chrome export adds flow
 // events ("s"/"f" phases) for every cross-thread parent edge and "M"
 // metadata records carrying registered thread names.
 //

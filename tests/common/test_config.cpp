@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <utility>
 
 namespace adsec {
 namespace {
@@ -20,6 +23,9 @@ TEST_F(ConfigTest, ScaledStepsAppliesMultiplier) {
   EXPECT_EQ(scaled_steps(1000), 500);
   runtime_config().train_scale = 2.0;
   EXPECT_EQ(scaled_steps(1000), 2000);
+  // Beyond int's range the count saturates instead of wrapping to the floor.
+  runtime_config().train_scale = 1e300;
+  EXPECT_EQ(scaled_steps(1000), std::numeric_limits<int>::max());
 }
 
 TEST_F(ConfigTest, ScaledStepsHonoursFloor) {
@@ -48,11 +54,15 @@ TEST_F(ConfigTest, FromEnvParsesValues) {
 }
 
 TEST_F(ConfigTest, FromEnvIgnoresGarbage) {
-  ::setenv("ADSEC_TRAIN_SCALE", "not-a-number", 1);
-  ::setenv("ADSEC_EPISODES", "xyz", 1);
-  const RuntimeConfig cfg = RuntimeConfig::from_env();
-  EXPECT_DOUBLE_EQ(cfg.train_scale, 1.0);
-  EXPECT_FALSE(cfg.episodes_override.has_value());
+  const std::pair<const char*, const char*> cases[] = {
+      {"not-a-number", "xyz"}, {"inf", "3x"}, {"0.5x", "3x"}};
+  for (const auto& [scale, episodes] : cases) {
+    ::setenv("ADSEC_TRAIN_SCALE", scale, 1);
+    ::setenv("ADSEC_EPISODES", episodes, 1);
+    const RuntimeConfig cfg = RuntimeConfig::from_env();
+    EXPECT_DOUBLE_EQ(cfg.train_scale, 1.0) << scale;
+    EXPECT_FALSE(cfg.episodes_override.has_value()) << episodes;
+  }
   ::unsetenv("ADSEC_TRAIN_SCALE");
   ::unsetenv("ADSEC_EPISODES");
 }
@@ -83,15 +93,18 @@ TEST_F(ConfigTest, EmptyEnvValueIsTreatedAsUnset) {
 }
 
 TEST_F(ConfigTest, OverflowingNumericValuesAreIgnoredNotCrashes) {
-  // std::stoi / std::stod throw out_of_range here; from_env must swallow
-  // that and keep the defaults, same as for non-numeric garbage.
-  ::setenv("ADSEC_EPISODES", "99999999999999999999", 1);
-  ::setenv("ADSEC_CKPT_EVERY", "99999999999999999999", 1);
-  ::setenv("ADSEC_TRAIN_SCALE", "1e999999", 1);
-  const RuntimeConfig cfg = RuntimeConfig::from_env();
-  EXPECT_FALSE(cfg.episodes_override.has_value());
-  EXPECT_EQ(cfg.checkpoint_every, 0);
-  EXPECT_DOUBLE_EQ(cfg.train_scale, 1.0);
+  // std::stoi / std::stod throw out_of_range on the first set and "inf"
+  // parses to a non-finite scale; from_env must keep the defaults, same as
+  // for non-numeric garbage.
+  for (const char* scale : {"1e999999", "inf"}) {
+    ::setenv("ADSEC_EPISODES", "99999999999999999999", 1);
+    ::setenv("ADSEC_CKPT_EVERY", "99999999999999999999", 1);
+    ::setenv("ADSEC_TRAIN_SCALE", scale, 1);
+    const RuntimeConfig cfg = RuntimeConfig::from_env();
+    EXPECT_FALSE(cfg.episodes_override.has_value());
+    EXPECT_EQ(cfg.checkpoint_every, 0);
+    EXPECT_DOUBLE_EQ(cfg.train_scale, 1.0) << scale;
+  }
   ::unsetenv("ADSEC_EPISODES");
   ::unsetenv("ADSEC_CKPT_EVERY");
   ::unsetenv("ADSEC_TRAIN_SCALE");
@@ -124,14 +137,40 @@ TEST_F(ConfigTest, NegativeCheckpointIntervalClampsToDisabled) {
   ::unsetenv("ADSEC_CKPT_EVERY");
 }
 
-TEST_F(ConfigTest, NumericPrefixParsesLikeStoi) {
-  // Documented quirk: std::stoi/std::stod accept a numeric prefix, so
-  // "12abc" reads as 12 rather than being rejected outright.
+TEST_F(ConfigTest, NumericPrefixIsIgnored) {
+  // A value must be one whole number: "12abc" is garbage, not 12.
   ::setenv("ADSEC_EPISODES", "12abc", 1);
+  ::setenv("ADSEC_CKPT_EVERY", "100steps", 1);
   const RuntimeConfig cfg = RuntimeConfig::from_env();
-  ASSERT_TRUE(cfg.episodes_override.has_value());
-  EXPECT_EQ(*cfg.episodes_override, 12);
+  EXPECT_FALSE(cfg.episodes_override.has_value());
+  EXPECT_EQ(cfg.checkpoint_every, 0);
   ::unsetenv("ADSEC_EPISODES");
+  ::unsetenv("ADSEC_CKPT_EVERY");
+}
+
+TEST(StrictParse, AcceptsOnlyWholeFiniteInRangeNumbers) {
+  double d = -1.0;
+  EXPECT_TRUE(parse_double("0.25", d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  for (const char* bad : {"", " 1", "0.5x", "inf", "-inf", "nan", "1e999"}) {
+    EXPECT_FALSE(parse_double(bad, d)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, 0.25);  // untouched on failure
+
+  int n = -1;
+  EXPECT_TRUE(parse_int("-4", -10, n));
+  EXPECT_EQ(n, -4);
+  for (const char* bad : {"", " 3", "3x", "1.5", "-11", "1000000001"}) {
+    EXPECT_FALSE(parse_int(bad, -10, n)) << bad;
+  }
+  EXPECT_EQ(n, -4);
+
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_u64("18446744073709551615", u));
+  EXPECT_EQ(u, std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", " -1", "7x", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_u64(bad, u)) << bad;
+  }
 }
 
 TEST_F(ConfigTest, ScaledStepsTruncatesTowardZero) {

@@ -8,6 +8,8 @@
 
 #include <filesystem>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -225,6 +227,26 @@ TEST_F(OrchDagTest, ParallelAndSerialRunsCommitIdenticalTables) {
   EXPECT_EQ(merge_grid(serial, grid).fig8.to_csv(),
             merge_grid(parallel, grid).fig8.to_csv());
   std::filesystem::remove_all(dir_ + "_zoo" + "par");
+}
+
+TEST(GridSpecParse, RejectsPartialOutOfRangeAndNonFiniteValues) {
+  const GridSpec ok =
+      parse_grid_spec("agents=modular;budgets=0.5,1;episodes=3;seed=42");
+  EXPECT_EQ(ok.budgets, (std::vector<double>{0.5, 1.0}));
+  EXPECT_EQ(ok.episodes, 3);
+  EXPECT_EQ(ok.seed_base, 42u);
+  // 4294967297 used to wrap to 1 episode; "3x" read as 3.
+  for (const char* bad :
+       {"agents=modular;episodes=4294967297", "agents=modular;episodes=3x",
+        "agents=modular;budgets=nan", "agents=modular;budgets=0.5,inf",
+        "agents=modular;seed=-1"}) {
+    try {
+      std::ignore = parse_grid_spec(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Usage) << bad;
+    }
+  }
 }
 
 }  // namespace

@@ -60,8 +60,7 @@ TEST(Sac, LearnsToTrackTarget) {
   tc.seed = 3;
   (void)train_sac(sac, env, tc);
 
-  Rng eval_rng(5);
-  const double trained = evaluate_policy(sac, env, 20, 777, eval_rng);
+  const double trained = evaluate_policy(sac, env, 20, 777);
   // Random play on 10-step episodes scores around -6; a trained policy
   // should be close to 0.
   EXPECT_GT(trained, -1.0);

@@ -119,64 +119,10 @@ TEST(Trainer, EvaluatePolicyAveragesEpisodes) {
   SacConfig cfg;
   Rng rng(4);
   Sac sac(1, 1, cfg, rng);
-  Rng eval_rng(5);
-  const double ret = evaluate_policy(sac, env, 3, 100, eval_rng);
+  const double ret = evaluate_policy(sac, env, 3, 100);
   // 5 steps per episode, reward in [-2.56, 0]: the average must lie there.
   EXPECT_LE(ret, 0.0);
   EXPECT_GE(ret, -2.56 * 5);
-}
-
-TEST(Trainer, ParallelEvaluationMatchesSerial) {
-  // Deterministic evaluation consumes no RNG and sums returns in episode
-  // order, so the parallel evaluator must reproduce the serial result
-  // exactly, for any worker count.
-  SacConfig cfg;
-  Rng rng(6);
-  Sac sac(1, 1, cfg, rng);
-  ConstTargetEnv env;
-  Rng eval_rng(7);
-  const double serial = evaluate_policy(sac, env, 6, 100, eval_rng);
-  const EnvFactory make_env = [] { return std::make_unique<ConstTargetEnv>(); };
-  for (const int jobs : {1, 2, 4}) {
-    EXPECT_DOUBLE_EQ(evaluate_policy_parallel(sac, make_env, 6, 100, jobs), serial)
-        << "jobs=" << jobs;
-  }
-}
-
-TEST(Trainer, TrainWithParallelEvalMatchesSerialEvalReturns) {
-  // Same training run twice — shared-env serial evaluation vs pooled
-  // parallel evaluation — must produce identical eval curves and step
-  // counts, since the parallel path leaves the training env untouched and
-  // the post-eval episode restart is unconditional.
-  auto run = [](bool parallel) {
-    ConstTargetEnv env;
-    SacConfig cfg;
-    cfg.batch_size = 8;
-    Rng rng(8);
-    Sac sac(1, 1, cfg, rng);
-    TrainConfig tc;
-    tc.total_steps = 300;
-    tc.start_steps = 30;
-    tc.update_after = 30;
-    tc.eval_every = 100;
-    tc.eval_episodes = 3;
-    tc.plateau_eps = 1e9;
-    tc.plateau_patience = 99;
-    tc.seed = 9;
-    if (parallel) {
-      tc.eval_env_factory = [] { return std::make_unique<ConstTargetEnv>(); };
-      tc.eval_jobs = 3;
-    }
-    return train_sac(sac, env, tc);
-  };
-  const TrainResult serial = run(false);
-  const TrainResult parallel = run(true);
-  EXPECT_EQ(serial.steps_done, parallel.steps_done);
-  ASSERT_EQ(serial.eval_returns.size(), parallel.eval_returns.size());
-  for (std::size_t i = 0; i < serial.eval_returns.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial.eval_returns[i], parallel.eval_returns[i]) << "eval " << i;
-  }
-  EXPECT_DOUBLE_EQ(serial.best_eval_return, parallel.best_eval_return);
 }
 
 }  // namespace

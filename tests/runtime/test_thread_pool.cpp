@@ -3,15 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace adsec {
 namespace {
 
 TEST(ThreadPool, SubmitReturnsValues) {
-  WorkStealingPool pool(4);
+  ThreadPool pool(4);
   std::vector<std::future<int>> fs;
   for (int i = 0; i < 100; ++i) {
     fs.push_back(pool.submit([i] { return i * i; }));
@@ -20,15 +19,15 @@ TEST(ThreadPool, SubmitReturnsValues) {
 }
 
 TEST(ThreadPool, SizeAndDefaults) {
-  WorkStealingPool pool(3);
+  ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3);
-  WorkStealingPool hw;  // <= 0 threads => hardware_jobs()
+  ThreadPool hw;  // <= 0 threads => hardware_jobs()
   EXPECT_EQ(hw.size(), hardware_jobs());
   EXPECT_GE(hardware_jobs(), 1);
 }
 
 TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   auto ok = pool.submit([] { return 7; });
   auto bad = pool.submit([]() -> int { throw std::runtime_error("episode failed"); });
   EXPECT_EQ(ok.get(), 7);
@@ -38,11 +37,11 @@ TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
 }
 
 TEST(ThreadPool, WorkerIndexIsStableAndInRange) {
-  WorkStealingPool pool(4);
-  EXPECT_EQ(WorkStealingPool::current_worker_index(), -1);  // external thread
+  ThreadPool pool(4);
+  EXPECT_EQ(ThreadPool::current_worker_index(), -1);  // external thread
   std::vector<std::future<int>> fs;
   for (int i = 0; i < 64; ++i) {
-    fs.push_back(pool.submit([] { return WorkStealingPool::current_worker_index(); }));
+    fs.push_back(pool.submit([] { return ThreadPool::current_worker_index(); }));
   }
   for (auto& f : fs) {
     const int w = f.get();
@@ -51,80 +50,58 @@ TEST(ThreadPool, WorkerIndexIsStableAndInRange) {
   }
 }
 
-TEST(ThreadPool, StealsFromLoadedWorker) {
-  // Deterministic imbalance: occupy one worker with a blocker that cannot
-  // finish until every short task has run, then pin all short tasks to that
-  // worker's deque. The blocked worker can't touch them, so they complete
-  // only if the other worker steals them — no timing assumptions needed.
-  WorkStealingPool pool(2);
+TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
+  // Hold the only worker until every task is queued, so the order checked
+  // is the queue's, not the order the submits happened to race the worker.
+  ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  std::promise<int> started;
+  auto blocker = pool.submit([gate] { gate.wait(); });
 
-  auto blocker = pool.submit([&started, gate] {
-    started.set_value(WorkStealingPool::current_worker_index());
-    gate.wait();
-  });
-  const int busy = started.get_future().get();  // worker now pinned in gate.wait()
-
-  constexpr int kShort = 16;
-  std::atomic<int> stolen{0};
-  std::vector<std::future<void>> shorts;
-  for (int i = 0; i < kShort; ++i) {
-    shorts.push_back(pool.submit_to(busy, [&stolen, busy] {
-      if (WorkStealingPool::current_worker_index() != busy) ++stolen;
-    }));
+  constexpr int kTasks = 32;
+  std::vector<int> order;  // touched only by the worker until the gets below
+  std::vector<std::future<void>> fs;
+  for (int i = 0; i < kTasks; ++i) {
+    fs.push_back(pool.submit([&order, i] { order.push_back(i); }));
   }
-
-  // All short tasks must finish while the busy worker is still blocked.
-  for (auto& f : shorts) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready)
-        << "short tasks did not complete: stealing is broken";
-  }
-  EXPECT_EQ(stolen.load(), kShort);  // every one ran on the other worker
   release.set_value();
   blocker.get();
+  for (auto& f : fs) f.get();
+
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(ThreadPool, StolenTaskParentsToSubmittingSpan) {
-  // Same deterministic-steal setup as above, but what is checked is the
-  // causal edge: a task dequeued by a *different* worker than its home
-  // deque must still parent to the span that submitted it. This suite runs
-  // under TSan in CI, so the context hand-off is also race-checked.
+TEST(ThreadPool, TaskParentsToSubmittingSpan) {
+  // The worker runs an unrelated traced task and then, back to back, a task
+  // submitted under a span: that task must parent to the submitting span,
+  // not to whatever the worker ran before. This suite runs under TSan in
+  // CI, so the context hand-off is also race-checked.
   telemetry::clear_trace();
   telemetry::set_tracing_enabled(true);
   {
-    WorkStealingPool pool(2);
+    ThreadPool pool(1);
     std::promise<void> release;
     std::shared_future<void> gate = release.get_future().share();
-    std::promise<int> started;
-    auto blocker = pool.submit([&started, gate] {
-      started.set_value(WorkStealingPool::current_worker_index());
-      gate.wait();
-    });
-    const int busy = started.get_future().get();
+    auto blocker = pool.submit([gate] { gate.wait(); });
 
-    // Seed the stealing worker with unrelated traced work first — its
-    // thread must not leak that context into the stolen task.
-    pool.submit([] { telemetry::SpanGuard noise("test.steal.noise"); }).get();
-
+    auto noise = pool.submit([] { telemetry::SpanGuard span("test.pool.noise"); });
     telemetry::TraceContext submit_ctx;
     telemetry::TraceContext task_ctx;
-    int ran_on = -2;
+    std::future<void> task;
     {
-      telemetry::SpanGuard submit_span("test.steal.submit");
+      telemetry::SpanGuard submit_span("test.pool.submit");
       submit_ctx = telemetry::current_trace_context();
-      pool.submit_to(busy, [&task_ctx, &ran_on] {
-            telemetry::SpanGuard span("test.steal.task");
-            task_ctx = telemetry::current_trace_context();
-            ran_on = WorkStealingPool::current_worker_index();
-          })
-          .get();
+      task = pool.submit([&task_ctx] {
+        telemetry::SpanGuard span("test.pool.task");
+        task_ctx = telemetry::current_trace_context();
+      });
     }
     release.set_value();
     blocker.get();
+    noise.get();
+    task.get();
 
-    EXPECT_NE(ran_on, busy);  // the task really was stolen
     EXPECT_EQ(task_ctx.trace_id, submit_ctx.trace_id);
     EXPECT_EQ(task_ctx.parent_span_id, submit_ctx.span_id);
   }
@@ -135,17 +112,17 @@ TEST(ThreadPool, StolenTaskParentsToSubmittingSpan) {
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {
   std::atomic<int> ran{0};
   {
-    WorkStealingPool pool(2);
+    ThreadPool pool(2);
     for (int i = 0; i < 200; ++i) {
       pool.submit([&ran] { ++ran; });
     }
-    // No explicit wait: ~WorkStealingPool must run everything first.
+    // No explicit wait: ~ThreadPool must run everything first.
   }
   EXPECT_EQ(ran.load(), 200);
 }
 
 TEST(ThreadPool, NestedSubmitFromWorker) {
-  WorkStealingPool pool(2);
+  ThreadPool pool(2);
   auto outer = pool.submit([&pool] {
     auto inner = pool.submit([] { return 21; });
     return inner.get() * 2;

@@ -143,7 +143,7 @@ TEST_F(MetricsTest, CountsMergeAcrossPoolThreads) {
   constexpr int kTasks = 64;
   constexpr int kIncsPerTask = 1000;
   {
-    WorkStealingPool pool(4);
+    ThreadPool pool(4);
     std::vector<std::future<void>> fs;
     fs.reserve(kTasks);
     for (int t = 0; t < kTasks; ++t) {

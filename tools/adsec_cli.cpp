@@ -43,7 +43,6 @@
 //
 // Malformed flags (unknown names, non-numeric or out-of-range values) exit
 // with status 2 and usage on stderr.
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,45 +111,6 @@ struct Options {
       "                          during the run (watch with adsec_top --json)\n",
       argv0);
   std::exit(code);
-}
-
-// Strict numeric parsing: the whole string must be consumed and the result
-// in range, otherwise the caller reports the flag and exits 2. atoi/atof
-// would silently read "10x" as 10 and "abc" as 0.
-bool parse_double(const std::string& s, double& out) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size() || std::isnan(v)) return false;
-    out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_int(const std::string& s, int min_value, int& out) {
-  try {
-    std::size_t used = 0;
-    const long v = std::stol(s, &used);
-    if (used != s.size() || v < min_value || v > 1000000000L) return false;
-    out = static_cast<int>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  try {
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(s, &used);
-    if (used != s.size() || s[0] == '-') return false;
-    out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 Options parse(int argc, char** argv) {

@@ -102,18 +102,6 @@ struct Options {
   std::exit(code);
 }
 
-bool parse_int(const std::string& s, int min_value, int& out) {
-  try {
-    std::size_t used = 0;
-    const long v = std::stol(s, &used);
-    if (used != s.size() || v < min_value || v > 1000000000L) return false;
-    out = static_cast<int>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {

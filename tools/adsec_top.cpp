@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "serve/json.hpp"
@@ -67,18 +68,6 @@ struct Options {
       "           (default 1000) until interrupted\n",
       argv0);
   std::exit(code);
-}
-
-bool parse_int(const std::string& s, int min_value, int& out) {
-  try {
-    std::size_t used = 0;
-    const long v = std::stol(s, &used);
-    if (used != s.size() || v < min_value || v > 1000000000L) return false;
-    out = static_cast<int>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
 }
 
 Options parse(int argc, char** argv) {

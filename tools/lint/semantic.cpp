@@ -709,9 +709,9 @@ void scan_bodies(const std::string& path, const std::vector<Token>& toks,
         (t.text == "sleep_for" || t.text == "sleep_until") &&
         called(toks, i) && !member_or_foreign_qualified(toks, i);
     const Token* p = prev_tok(toks, i);
-    const bool is_submit = (t.text == "submit" || t.text == "submit_to") &&
-                           called(toks, i) && p != nullptr &&
-                           p->kind == TokKind::Punct && p->text != "::";
+    const bool is_submit = t.text == "submit" && called(toks, i) &&
+                           p != nullptr && p->kind == TokKind::Punct &&
+                           p->text != "::";
     if (is_stdio || is_stream || is_sleep || is_submit) {
       const char* what = is_sleep ? "sleeps"
                          : is_submit ? "submits pool work"
