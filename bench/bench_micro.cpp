@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 
 #include "agents/e2e_agent.hpp"
 #include "agents/modular_agent.hpp"
@@ -71,6 +72,37 @@ void BM_CameraObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CameraObserve);
+
+// An s_curve world with the ego mid-sweeper, offset so that the centre of
+// grid cell (row 9, col 1) lies on the road's right edge: times the arc
+// estimate plus the exact projection that cells inside the margin take.
+World curve_edge_world() {
+  const auto road = std::make_shared<const Road>(Road::s_curve());
+  const CameraConfig cfg;
+  const double s = 200.0;
+  const double lon = 9.5 * cfg.cell_length - cfg.rear_range;
+  const double lat = 1.5 * cfg.cell_width - 0.5 * cfg.cols * cfg.cell_width;
+  VehicleState ego;
+  ego.heading = road->heading_at(s);
+  ego.speed = 10.0;
+  double d = 0.0;
+  for (int it = 0; it < 6; ++it) {
+    ego.position = road->world_at(s, d);
+    d -= road->half_width() + road->project(ego.position + Vec2{lon, lat}.rotated(ego.heading)).d;
+  }
+  ego.position = road->world_at(s, d);
+  return World(road, default_vehicle_params(), ego, {});
+}
+
+void BM_CameraObserveCurveEdge(benchmark::State& state) {
+  const World w = curve_edge_world();
+  CameraSensor cam;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cam.observe(w));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CameraObserveCurveEdge);
 
 void BM_ImuObserve(benchmark::State& state) {
   World w = fresh_world();

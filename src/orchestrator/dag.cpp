@@ -84,7 +84,7 @@ class GridExecution {
 
   void run() {
     if (jobs_.empty()) return;
-    ThreadPool pool(options_.jobs);
+    ThreadPool pool(pool_size_for(options_.jobs, jobs_.size()));
     std::thread watchdog;
     if (options_.deadline_ms > 0) {
       watchdog = std::thread([this] { watchdog_loop(); });

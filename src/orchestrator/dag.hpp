@@ -43,7 +43,8 @@ struct JobOutcome {
 };
 
 struct GridOptions {
-  int jobs{1};             // pool width; <= 0 selects hardware_jobs()
+  int jobs{1};             // pool width, capped at the DAG's job count;
+                           // <= 0 selects hardware_jobs()
   int max_retries{2};      // transient-failure retries per job
   int deadline_ms{0};      // per-job deadline; 0 disables the watchdog
   int watchdog_poll_ms{5};

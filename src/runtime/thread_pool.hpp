@@ -14,7 +14,9 @@
 // destructor returns, so a scope-local pool doubles as a join barrier.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -33,6 +35,15 @@ namespace adsec {
 inline int hardware_jobs() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
+}
+
+// Workers for a pool that never has more than `tasks` tasks in flight:
+// `requested` (<= 0 selects hardware_jobs()) capped at `tasks`, never 0.
+// Threads beyond the task count would only sit idle.
+inline int pool_size_for(int requested, std::size_t tasks) {
+  const std::size_t want =
+      static_cast<std::size_t>(requested > 0 ? requested : hardware_jobs());
+  return static_cast<int>(std::clamp<std::size_t>(want, 1, std::max<std::size_t>(tasks, 1)));
 }
 
 class ThreadPool {

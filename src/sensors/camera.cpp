@@ -47,17 +47,22 @@ void CameraSensor::observe_into(const World& world, std::span<double> frame) {
   const double ego_heading = world.ego().state().heading;
   const Road& road = world.road();
 
-  // Road / off-road layer: classify each cell center.
+  // Road / off-road layer: classify each cell center by |d| > half_width.
+  // The closed-form estimate decides every cell farther than the margin
+  // from the road edge; only cells inside that band pay for the exact
+  // projection, so each cell gets exactly the class road.project() gives.
+  const double half_width = road.half_width();
   for (int r = 0; r < config_.rows; ++r) {
     for (int c = 0; c < config_.cols; ++c) {
       const double lon = (r + 0.5) * config_.cell_length - config_.rear_range;
       const double lat = (c + 0.5) * config_.cell_width -
                          0.5 * config_.cols * config_.cell_width;
       const Vec2 world_pt = ego_pos + Vec2{lon, lat}.rotated(ego_heading);
-      const Frenet f = road.project(world_pt);
-      if (std::abs(f.d) > road.half_width()) {
-        frame[static_cast<std::size_t>(r * config_.cols + c)] = -1.0;
-      }
+      const double d = std::abs(road.project_closed_form(world_pt).d);
+      const bool off_road = d > half_width + kRoadEdgeMargin ||
+                            (d >= half_width - kRoadEdgeMargin &&
+                             std::abs(road.project(world_pt).d) > half_width);
+      if (off_road) frame[static_cast<std::size_t>(r * config_.cols + c)] = -1.0;
     }
   }
 
@@ -89,7 +94,7 @@ void CameraSensor::observe_into(const World& world, std::span<double> frame) {
   }
 
   if (config_.append_ego_state) {
-    const Frenet f = road.project(ego_pos);
+    const Frenet& f = world.ego_frenet();
     const double road_heading = road.heading_at(f.s);
     const std::size_t base = static_cast<std::size_t>(config_.rows * config_.cols);
     frame[base + 0] = f.d / road.half_width();

@@ -45,6 +45,12 @@ struct CameraConfig {
 
 class CameraSensor {
  public:
+  // Road-layer certification margin, m: a cell whose closed-form |d| lies
+  // within this distance of the road edge is classified by the exact
+  // Road::project instead. Far above the estimate's error (~1e-13 m), so
+  // every frame equals the all-exact raster bit for bit.
+  static constexpr double kRoadEdgeMargin = 1e-3;
+
   explicit CameraSensor(const CameraConfig& config = {},
                         std::uint64_t fault_seed = 29);
 

@@ -1,7 +1,10 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -98,9 +101,21 @@ struct EvalServer::WorkerCaches {
   std::vector<std::map<std::string, LaneFleet>> per_worker;
 };
 
+namespace {
+
+int resolve_workers(int workers) {
+  if (workers > kMaxWorkers) {
+    throw std::invalid_argument("EvalServer: workers " + std::to_string(workers) +
+                                " exceeds the limit of " + std::to_string(kMaxWorkers));
+  }
+  return workers > 0 ? workers : std::min(hardware_jobs(), kMaxWorkers);
+}
+
+}  // namespace
+
 EvalServer::EvalServer(const ServerOptions& options, ResultCallback default_sink)
     : options_(options),
-      workers_(options.workers > 0 ? options.workers : hardware_jobs()),
+      workers_(resolve_workers(options.workers)),
       default_sink_(std::move(default_sink)),
       queue_(options.queue_depth) {
   if (options_.zoo != nullptr) {

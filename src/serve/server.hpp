@@ -48,8 +48,14 @@
 
 namespace adsec::serve {
 
+// Upper bound on ServerOptions::workers: each worker is an OS thread with
+// its own actor cache.
+inline constexpr int kMaxWorkers = 256;
+
 struct ServerOptions {
-  int workers{0};             // concurrent requests; <= 0 => hardware_jobs()
+  // Concurrent requests; <= 0 => min(hardware_jobs(), kMaxWorkers). Above
+  // kMaxWorkers the EvalServer constructor throws std::invalid_argument.
+  int workers{0};
   std::size_t queue_depth{64};  // admitted-but-not-started bound
 
   // Episode lanes for cross-episode batched inference (see

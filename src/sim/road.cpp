@@ -24,10 +24,17 @@ Road::Road(std::vector<RoadSegmentSpec> specs, int num_lanes, double lane_width)
     seg.curvature = spec.curvature;
     seg.start = cursor;
     seg.heading0 = heading;
-    segments_.push_back(seg);
 
     // Advance cursor to the end of this segment.
     const RoadPose end = pose_in_segment(seg, spec.length);
+    seg.tangent = unit_from_heading(heading);
+    seg.end = end.position;
+    seg.end_tangent = unit_from_heading(end.heading);
+    if (std::abs(spec.curvature) >= 1e-12) {
+      seg.center = seg.start + seg.tangent.perp() * (1.0 / spec.curvature);
+      seg.sweep = spec.length * std::abs(spec.curvature);
+    }
+    segments_.push_back(seg);
     cursor = end.position;
     heading = end.heading;
     s += spec.length;
@@ -134,6 +141,51 @@ Frenet Road::project(const Vec2& p) const {
   const RoadPose pose = pose_at(s);
   const Vec2 normal = unit_from_heading(pose.heading).perp();
   return {s, (p - pose.position).dot(normal)};
+}
+
+Frenet Road::project_closed_form(const Vec2& p) const {
+  double best_d2 = 1e300;
+  Frenet best;
+  for (const auto& seg : segments_) {
+    Frenet f;
+    double d2;
+    if (std::abs(seg.curvature) < 1e-12) {
+      const Vec2 rel = p - seg.start;
+      const double u = clamp(rel.dot(seg.tangent), 0.0, seg.length);
+      f = {seg.s0 + u, seg.tangent.cross(rel)};
+      d2 = (rel - seg.tangent * u).norm2();
+    } else {
+      // Turn angle from the segment start to p's radial direction, in the
+      // direction of travel; the foot point is interior iff it lies in
+      // [0, sweep].
+      const Vec2 v = p - seg.center;
+      const Vec2 radial0 = seg.start - seg.center;
+      const double sign = seg.curvature > 0.0 ? 1.0 : -1.0;
+      double psi = sign * std::atan2(radial0.cross(v), radial0.dot(v));
+      if (psi < 0.0 && psi + 2.0 * kPi <= seg.sweep) psi += 2.0 * kPi;
+      if (psi >= 0.0 && psi <= seg.sweep) {
+        f = {seg.s0 + psi / std::abs(seg.curvature),
+             1.0 / seg.curvature - sign * std::sqrt(v.norm2())};
+        d2 = f.d * f.d;
+      } else {
+        // Clamped to the nearer segment end, measured along its normal.
+        const Vec2 to_start = p - seg.start;
+        const Vec2 to_end = p - seg.end;
+        if (to_start.norm2() <= to_end.norm2()) {
+          f = {seg.s0, seg.tangent.cross(to_start)};
+          d2 = to_start.norm2();
+        } else {
+          f = {seg.s0 + seg.length, seg.end_tangent.cross(to_end)};
+          d2 = to_end.norm2();
+        }
+      }
+    }
+    if (d2 < best_d2) {
+      best_d2 = d2;
+      best = f;
+    }
+  }
+  return best;
 }
 
 }  // namespace adsec

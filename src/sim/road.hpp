@@ -71,6 +71,15 @@ class Road {
   // Project a world point to Frenet coordinates (nearest centerline point).
   Frenet project(const Vec2& p) const;
 
+  // Closed-form estimate of project(p): per segment, the foot point on the
+  // line (dot product) or circle (atan2 about the centre), clamped to the
+  // segment; the nearest candidate wins. Beyond the road ends d is measured
+  // along the end pose's normal, as in project(). Agrees with project() to
+  // ~1e-13 m in d and ~1e-7 m in s (Newton's stopping tolerance), but is
+  // NOT bit-identical to it: a caller that needs project()'s exact value
+  // must certify the estimate against a margin and fall back to project().
+  Frenet project_closed_form(const Vec2& p) const;
+
  private:
   struct Segment {
     double s0;         // start arclength
@@ -78,6 +87,12 @@ class Road {
     double curvature;
     Vec2 start;        // world position at s0
     double heading0;   // heading at s0
+    // Closed-form projection constants (project_closed_form).
+    Vec2 tangent;      // unit tangent at s0 (the whole segment if straight)
+    Vec2 end;          // world position at s0 + length
+    Vec2 end_tangent;  // unit tangent at s0 + length
+    Vec2 center;       // arcs: circle centre
+    double sweep{0.0};  // arcs: |turn angle| over the segment, rad
   };
 
   RoadPose pose_in_segment(const Segment& seg, double ds) const;

@@ -56,14 +56,17 @@ class World {
 
   const Road& road() const { return *road_; }
   const std::shared_ptr<const Road>& road_ptr() const { return road_; }
+  // Read-only: ego_frenet() caches project(ego position), and the camera
+  // relies on it never going stale.
   const Vehicle& ego() const { return ego_; }
-  Vehicle& ego() { return ego_; }
   const std::vector<Npc>& npcs() const { return npcs_; }
   const WorldConfig& config() const { return config_; }
 
   int step_count() const { return step_count_; }
   double time() const { return step_count_ * config_.dt; }
 
+  // Exactly road().project(ego().state().position), refreshed on
+  // construction and after every step.
   const Frenet& ego_frenet() const { return ego_frenet_; }
 
   // NPCs the ego has fully passed (ego s beyond npc s by one car length).

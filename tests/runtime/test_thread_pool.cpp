@@ -26,6 +26,15 @@ TEST(ThreadPool, SizeAndDefaults) {
   EXPECT_GE(hardware_jobs(), 1);
 }
 
+TEST(ThreadPool, PoolSizeForCapsAtTaskCount) {
+  // Pure arithmetic: no pool is built for any of these requests.
+  EXPECT_EQ(pool_size_for(1'000'000'000, 3), 3);
+  EXPECT_EQ(pool_size_for(2, 10), 2);
+  EXPECT_EQ(pool_size_for(0, 1'000'000), hardware_jobs());
+  EXPECT_EQ(pool_size_for(-7, 1), 1);
+  EXPECT_EQ(pool_size_for(8, 0), 1);
+}
+
 TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
   ThreadPool pool(2);
   auto ok = pool.submit([] { return 7; });

@@ -2,9 +2,69 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+
+#include "common/angle.hpp"
 #include "sim/scenario.hpp"
 
 namespace adsec {
+
+namespace reference {
+
+// The all-exact raster: every cell centre and the ego go through the
+// LUT+Newton Road::project. CameraSensor::observe_into must reproduce it
+// bit for bit (fault injection off).
+std::vector<double> camera_frame(const CameraConfig& config, const World& world) {
+  const int cells = config.rows * config.cols;
+  std::vector<double> frame(static_cast<std::size_t>(cells + (config.append_ego_state ? 5 : 0)),
+                            0.0);
+  const Vec2 ego_pos = world.ego().state().position;
+  const double ego_heading = world.ego().state().heading;
+  const Road& road = world.road();
+  const double grid_half_width = 0.5 * config.cols * config.cell_width;
+  for (int r = 0; r < config.rows; ++r) {
+    for (int c = 0; c < config.cols; ++c) {
+      const double lon = (r + 0.5) * config.cell_length - config.rear_range;
+      const double lat = (c + 0.5) * config.cell_width - grid_half_width;
+      const Vec2 world_pt = ego_pos + Vec2{lon, lat}.rotated(ego_heading);
+      if (std::abs(road.project(world_pt).d) > road.half_width()) {
+        frame[static_cast<std::size_t>(r * config.cols + c)] = -1.0;
+      }
+    }
+  }
+  for (const auto& npc : world.npcs()) {
+    Vec2 pts[5];
+    npc.vehicle().corners(pts);
+    pts[4] = npc.vehicle().state().position;
+    for (const Vec2& wp : pts) {
+      const Vec2 rel = (wp - ego_pos).rotated(-ego_heading);
+      const double lon = rel.x + config.rear_range;
+      const double lat = rel.y + grid_half_width;
+      if (lon < 0.0 || lat < 0.0) continue;
+      const int r = static_cast<int>(lon / config.cell_length);
+      const int c = static_cast<int>(lat / config.cell_width);
+      if (r < config.rows && c < config.cols) {
+        frame[static_cast<std::size_t>(r * config.cols + c)] = 1.0;
+      }
+    }
+  }
+  if (config.append_ego_state) {
+    const Frenet f = road.project(ego_pos);
+    const std::size_t base = static_cast<std::size_t>(cells);
+    frame[base + 0] = f.d / road.half_width();
+    frame[base + 1] = wrap_angle(ego_heading - road.heading_at(f.s));
+    frame[base + 2] = world.ego().state().speed / 20.0;
+    frame[base + 3] = world.ego().actuation().steer;
+    frame[base + 4] = world.ego().actuation().thrust;
+  }
+  return frame;
+}
+
+}  // namespace reference
+
 namespace {
 
 World nominal_world(std::uint64_t seed = 1, int npcs = 6) {
@@ -177,6 +237,104 @@ TEST(StackedCameraObserver, DimAndMotionVisibility) {
   bool changed = false;
   for (std::size_t i = 0; i < o1.size(); ++i) changed |= o1[i] != o2[i];
   EXPECT_TRUE(changed);
+}
+
+// World position of the centre of grid cell (row, col) for an ego at
+// `ego`, as the camera computes it.
+Vec2 cell_center(const CameraConfig& cfg, const VehicleState& ego, int row, int col) {
+  const double lon = (row + 0.5) * cfg.cell_length - cfg.rear_range;
+  const double lat = (col + 0.5) * cfg.cell_width - 0.5 * cfg.cols * cfg.cell_width;
+  return ego.position + Vec2{lon, lat}.rotated(ego.heading);
+}
+
+// Cells whose closed-form |d| lies inside the certification band, i.e. the
+// cells the camera hands to the exact projection.
+int band_cells(const CameraConfig& cfg, const World& w) {
+  const Road& road = w.road();
+  int n = 0;
+  for (int r = 0; r < cfg.rows; ++r) {
+    for (int c = 0; c < cfg.cols; ++c) {
+      const Vec2 p = cell_center(cfg, w.ego().state(), r, c);
+      const double d = std::abs(road.project_closed_form(p).d);
+      n += std::abs(d - road.half_width()) <= CameraSensor::kRoadEdgeMargin;
+    }
+  }
+  return n;
+}
+
+::testing::AssertionResult same_bits(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs " << want.size();
+  }
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  std::size_t i = 0;
+  while (std::memcmp(&got[i], &want[i], sizeof(double)) == 0) ++i;
+  return ::testing::AssertionFailure()
+         << "first difference at value " << i << ": " << got[i] << " vs " << want[i];
+}
+
+TEST(CertifiedRaster, FramesMatchExactRasterOnEveryPreset) {
+  const CameraConfig cfg;
+  int frames = 0, fallbacks = 0;
+  for (const std::string& preset : scenario_preset_names()) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      Rng rng(seed);
+      World w = make_scenario(scenario_preset(preset), rng);
+      CameraSensor cam(cfg);
+      // Odd seeds steer at full range (quick barrier runs past the edge),
+      // even seeds gently (long episodes through the curves and traffic).
+      Rng actions(seed * 7919 + 3);
+      const double steer = seed % 2 == 1 ? 1.0 : 0.05;
+      while (true) {
+        ASSERT_TRUE(same_bits(cam.observe(w), reference::camera_frame(cfg, w)))
+            << preset << " seed " << seed << " step " << w.step_count();
+        ++frames;
+        fallbacks += band_cells(cfg, w);
+        if (w.done()) break;
+        w.step({steer * actions.uniform(-1.0, 1.0), actions.uniform(-0.5, 1.0)});
+      }
+    }
+  }
+  RecordProperty("frames", frames);
+  RecordProperty("fallback_cells", fallbacks);
+  EXPECT_GT(frames, 6 * 100);
+  EXPECT_GT(fallbacks, 0) << "the sweep never reached the exact fallback";
+}
+
+// Ego placed on `road` at arclength s so that the centre of cell (row, col)
+// sits on the road's right edge to ~1e-9 m.
+World edge_world(std::shared_ptr<const Road> road, const CameraConfig& cfg, double s,
+                 int row, int col) {
+  VehicleState ego;
+  ego.heading = road->heading_at(s);
+  ego.speed = 10.0;
+  double d = 0.0;
+  for (int it = 0; it < 6; ++it) {
+    ego.position = road->world_at(s, d);
+    d -= road->half_width() + road->project(cell_center(cfg, ego, row, col)).d;
+  }
+  ego.position = road->world_at(s, d);
+  return World(road, default_vehicle_params(), ego, {});
+}
+
+TEST(CertifiedRaster, NearEdgeCellTakesExactFallbackAndMatches) {
+  const CameraConfig cfg;
+  const std::shared_ptr<const Road> roads[] = {
+      std::make_shared<const Road>(Road::s_curve()),
+      std::make_shared<const Road>(Road({{600.0, 0.0}}, 3, 3.5))};
+  for (const auto& road : roads) {
+    for (const double s : {60.0, 200.0, 350.0, 560.0}) {
+      const World w = edge_world(road, cfg, s, 9, 1);
+      const double d = road->project_closed_form(cell_center(cfg, w.ego().state(), 9, 1)).d;
+      ASSERT_LE(std::abs(std::abs(d) - road->half_width()), CameraSensor::kRoadEdgeMargin)
+          << "s=" << s;
+      CameraSensor cam(cfg);
+      EXPECT_TRUE(same_bits(cam.observe(w), reference::camera_frame(cfg, w))) << "s=" << s;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -422,6 +423,19 @@ TEST_F(ServeServerTest, InvalidRequestsFailStructurallyWithoutQueueing) {
   EXPECT_EQ(report.submitted, 3u);  // submit_line calls only
   EXPECT_EQ(report.admitted, 1u);
   EXPECT_EQ(report.completed, 1u);
+}
+
+// --workers is bounded: one above the limit is refused while the server is
+// being constructed, before its pool starts a single thread.
+TEST_F(ServeServerTest, WorkersAboveLimitAreRefusedBeforeAnyThreadStarts) {
+  PolicyZoo zoo(dir_);
+  ServerOptions opts;
+  opts.workers = kMaxWorkers + 1;
+  opts.zoo = &zoo;
+  EXPECT_THROW(EvalServer(opts, {}), std::invalid_argument);
+  opts.workers = 2;
+  EvalServer ok(opts, {});
+  EXPECT_EQ(ok.workers(), 2);
 }
 
 // Regression: the daemon answers SIGUSR1 by snapshotting the report from

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "common/angle.hpp"
+#include "common/rng.hpp"
+#include "sim/scenario.hpp"
 
 namespace adsec {
 namespace {
@@ -136,6 +142,63 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, RoadProjectionSweep,
     ::testing::Combine(::testing::Values(10.0, 150.0, 300.0, 450.0, 590.0),
                        ::testing::Values(-5.0, -1.75, 0.0, 1.75, 5.0)));
+
+// The closed-form estimate against the LUT+Newton project() oracle, over
+// s in [-50, L+50] (extended along the end tangents beyond the road ends)
+// and |d| <= 30 m: a regular grid that straddles every segment joint, plus
+// uniform random points.
+void expect_closed_form_tracks_project(const Road& road, const std::string& name) {
+  double worst_dd = 0.0, worst_ds = 0.0;
+  Vec2 worst_p;
+  const auto check = [&](double s, double d) {
+    const double sc = clamp(s, 0.0, road.length());
+    const RoadPose pose = road.pose_at(sc);
+    const Vec2 t = unit_from_heading(pose.heading);
+    const Vec2 p = pose.position + t * (s - sc) + t.perp() * d;
+    const Frenet want = road.project(p);
+    const Frenet got = road.project_closed_form(p);
+    const double dd = std::abs(got.d - want.d);
+    const double ds = std::abs(got.s - want.s);
+    if (dd > worst_dd || ds > worst_ds) worst_p = p;
+    worst_dd = std::max(worst_dd, dd);
+    worst_ds = std::max(worst_ds, ds);
+  };
+  for (double s = -50.0; s <= road.length() + 50.0; s += 0.37) {
+    for (double d = -30.0; d <= 30.0; d += 0.5) check(s, d);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 50000; ++i) {
+    check(rng.uniform(-50.0, road.length() + 50.0), rng.uniform(-30.0, 30.0));
+  }
+  EXPECT_LE(worst_dd, 1e-9) << name << " worst at (" << worst_p.x << ", " << worst_p.y << ")";
+  EXPECT_LE(worst_ds, 1e-6) << name << " worst at (" << worst_p.x << ", " << worst_p.y << ")";
+}
+
+TEST(RoadClosedForm, TracksProjectOnFreeway) {
+  expect_closed_form_tracks_project(Road::freeway(), "freeway");
+}
+
+TEST(RoadClosedForm, TracksProjectOnSCurve) {
+  expect_closed_form_tracks_project(Road::s_curve(), "s_curve");
+}
+
+TEST(RoadClosedForm, TracksProjectOnTwoLanePreset) {
+  Rng rng(1);
+  const World w = make_scenario(scenario_preset("two-lane"), rng);
+  expect_closed_form_tracks_project(w.road(), "two-lane");
+}
+
+TEST(RoadClosedForm, ClampsToRoadEndsLikeProject) {
+  const Road r = Road::s_curve();
+  const RoadPose end = r.pose_at(r.length());
+  const Vec2 t = unit_from_heading(end.heading);
+  const Frenet past_end = r.project_closed_form(end.position + t * 20.0 + t.perp() * 4.0);
+  EXPECT_DOUBLE_EQ(past_end.s, r.length());
+  EXPECT_NEAR(past_end.d, 4.0, 1e-9);
+  const Frenet before_start = r.project_closed_form({-20.0, -3.0});
+  EXPECT_DOUBLE_EQ(before_start.s, 0.0);
+  EXPECT_NEAR(before_start.d, -3.0, 1e-12);
+}
 
 }  // namespace
 }  // namespace adsec

@@ -133,5 +133,20 @@ TEST(World, TimeTracksDt) {
   EXPECT_NEAR(w.time(), 0.2, 1e-12);
 }
 
+// The camera reads the ego's Frenet state from this cache instead of
+// projecting again, so it must be exactly project(ego position), bit for
+// bit, after construction and after every step.
+TEST(World, EgoFrenetIsExactProjectionOfEgo) {
+  World w = nominal_world(3);
+  const auto expect_exact = [&w] {
+    const Frenet f = w.road().project(w.ego().state().position);
+    EXPECT_EQ(w.ego_frenet().s, f.s) << "step " << w.step_count();
+    EXPECT_EQ(w.ego_frenet().d, f.d) << "step " << w.step_count();
+  };
+  expect_exact();
+  while (w.step({0.02, 0.4})) expect_exact();
+  expect_exact();
+}
+
 }  // namespace
 }  // namespace adsec

@@ -27,7 +27,8 @@
 // admitted work, prints the per-request-class latency table, and exits.
 // SIGUSR1 emits an on-demand report (latency classes + metrics snapshot)
 // without stopping; the daemon exits non-zero if any report write failed.
-// --report PATH also writes the final report JSON.
+// --report PATH also writes the final report JSON. --workers is at most
+// 256 (0, the default, means one per core up to that limit).
 //
 // Live exposition: --metrics-socket PATH opens a connection-per-scrape UDS
 // listener answering every connection with the Prometheus text (`nc -U` or
@@ -71,7 +72,7 @@ struct Options {
   std::string socket;
   std::string watch;
   std::string out;
-  int workers = 0;        // 0 => hardware_jobs()
+  int workers = 0;        // 0 => hardware_jobs(); at most serve::kMaxWorkers
   int queue_depth = 64;
   int poll_ms = 20;
   bool once = false;
@@ -97,8 +98,9 @@ struct Options {
       "attackers: none | oracle | noise | full | camera | imu | td3\n"
       "control:   {\"op\":\"report\"} in-band report+metrics, {\"op\":\"metrics\"}\n"
       "           prometheus text, {\"op\":\"shutdown\"} drain+exit\n"
-      "signals:   SIGTERM/SIGINT graceful drain, SIGUSR1 on-demand report\n",
-      argv0);
+      "signals:   SIGTERM/SIGINT graceful drain, SIGUSR1 on-demand report\n"
+      "workers:   0 (default) = one per core; at most %d\n",
+      argv0, serve::kMaxWorkers);
   std::exit(code);
 }
 
@@ -122,7 +124,7 @@ Options parse(int argc, char** argv) {
     else if (arg == "--out") opt.out = value();
     else if (arg == "--workers") {
       const std::string v = value();
-      if (!parse_int(v, 0, opt.workers)) bad_value(v);
+      if (!parse_int(v, 0, opt.workers) || opt.workers > serve::kMaxWorkers) bad_value(v);
     } else if (arg == "--queue-depth") {
       const std::string v = value();
       if (!parse_int(v, 0, opt.queue_depth)) bad_value(v);
