@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "agents/e2e_agent.hpp"
@@ -297,6 +298,58 @@ void BM_SacUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SacUpdate)->Arg(64)->Arg(267);
+
+// The actor-delay phase of a training run (~26 % of perfbench's
+// train_driving_sac updates): target forward, critic step and Adam only.
+void BM_SacCriticUpdate(benchmark::State& state) {
+  const int obs_dim = static_cast<int>(state.range(0));
+  SacConfig cfg;
+  cfg.batch_size = 32;
+  cfg.actor_delay_updates = std::numeric_limits<int>::max();
+  Rng rng(4);
+  Sac sac(obs_dim, 2, cfg, rng);
+  ReplayBuffer buf(4096, obs_dim, 2);
+  std::vector<double> obs(static_cast<std::size_t>(obs_dim));
+  for (int i = 0; i < 512; ++i) {
+    for (auto& v : obs) v = rng.uniform(-1.0, 1.0);
+    const double act[2] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    buf.add(obs, act, rng.uniform(), obs, false);
+  }
+  for (auto _ : state) {
+    sac.update(buf, rng);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SacCriticUpdate)->Arg(267);
+
+// One Adam step over a zoo critic's 21,505 parameters (269 -> 64 -> 64 -> 1)
+// on the tier named by the argument (0 scalar, 1 avx2). Grads are refilled
+// outside the timed region each iteration: Adam zeroes them, and zero grads
+// would decay the moments into denormals.
+void BM_AdamStep(benchmark::State& state) {
+  const auto tier = static_cast<simd::Tier>(state.range(0));
+  if (!simd::tier_supported(tier)) {
+    state.SkipWithError("tier not supported on this host");
+    return;
+  }
+  simd::force_tier(tier);
+  Rng rng(8);
+  Mlp critic({269, 64, 64, 1}, Activation::ReLU, rng);
+  Adam opt(critic.params(), critic.grads(), {});
+  const std::vector<Matrix*> grads = critic.grads();
+  std::vector<Matrix> fresh;
+  for (const Matrix* g : grads) fresh.push_back(Matrix::randn(g->rows(), g->cols(), rng, 0.1));
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t k = 0; k < grads.size(); ++k) grads[k]->copy_from(fresh[k]);
+    state.ResumeTiming();
+    opt.step();
+  }
+  simd::reset_tier();
+  state.SetLabel(simd::tier_name(tier));
+  state.SetItemsProcessed(state.iterations() * 21505);
+}
+BENCHMARK(BM_AdamStep)->Arg(0)->Arg(1);
 
 // ---- telemetry hot paths -------------------------------------------------
 // The enabled/disabled pairs bound what instrumenting a call site costs. The

@@ -13,15 +13,13 @@ std::vector<double> steering_obs_gradient(GaussianPolicy& policy,
     throw std::invalid_argument("steering_obs_gradient: obs dim mismatch");
   }
   Trunk& trunk = policy.trunk();
-  trunk.zero_grad();
   trunk.forward(Matrix::from_vector(obs));
   // Head layout is [mu | log_std]; pre-tanh steering mean is index 0, and
-  // tanh is monotone, so its gradient direction equals the action's.
+  // tanh is monotone, so its gradient direction equals the action's. The
+  // probe leaves the parameter grads untouched.
   Matrix dhead(1, trunk.out_dim());
   dhead(0, 0) = 1.0;
-  const Matrix gin = trunk.backward(dhead);
-  trunk.zero_grad();  // discard parameter grads from this probe
-  return gin.to_vector();
+  return trunk.backward(dhead, BackwardNeeds::input_only()).to_vector();
 }
 
 std::vector<double> fgsm_perturb(const std::vector<double>& obs,

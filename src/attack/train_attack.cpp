@@ -150,7 +150,7 @@ void bc_regress_mlp(Mlp& net, const Matrix& obs, const Matrix& labels, int epoch
       const Matrix& u = net.forward(bo);
       grad.resize(bsz, 1);
       for (int i = 0; i < bsz; ++i) grad(i, 0) = 2.0 * (u(i, 0) - bl(i, 0)) / bsz;
-      net.backward(grad);
+      net.backward(grad, BackwardNeeds::params_only());
       opt.step();
     }
   }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/error.hpp"
+#include "nn/kernel_table.hpp"
 
 namespace adsec {
 
@@ -39,26 +40,18 @@ void Adam::step() {
     }
   }
 
-  // Hoisted pointers and constants; the expressions themselves are kept
-  // verbatim so parameter trajectories are unchanged.
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  const double b1 = config_.beta1, b2 = config_.beta2;
-  const double lr = config_.lr, eps = config_.eps;
+  // The per-element update runs on the dispatch tier's kernel; every tier
+  // computes the same bits (see kernel_table.hpp).
+  const detail::AdamCoeffs c{config_.beta1,
+                             config_.beta2,
+                             1.0 - std::pow(config_.beta1, static_cast<double>(t_)),
+                             1.0 - std::pow(config_.beta2, static_cast<double>(t_)),
+                             config_.lr,
+                             config_.eps};
+  const detail::KernelTable& kt = detail::active_kernel_table();
   for (std::size_t k = 0; k < params_.size(); ++k) {
-    double* __restrict p = params_[k]->data();
-    double* __restrict g = grads_[k]->data();
-    double* __restrict m = m_[k].data();
-    double* __restrict v = v_[k].data();
-    const std::size_t n = params_[k]->size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double gi = g[i];
-      m[i] = b1 * m[i] + (1.0 - b1) * gi;
-      v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
-      const double mhat = m[i] / bc1;
-      const double vhat = v[i] / bc2;
-      p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
+    kt.adam(params_[k]->data(), grads_[k]->data(), m_[k].data(), v_[k].data(),
+            params_[k]->size(), c);
     grads_[k]->set_zero();
   }
 }

@@ -105,7 +105,8 @@ void GaussianPolicy::mean_action_into(const Matrix& obs, Matrix& out,
   }
 }
 
-void GaussianPolicy::backward(const Matrix& dL_da, const Matrix& dL_dlogp) {
+void GaussianPolicy::backward(const Matrix& dL_da, const Matrix& dL_dlogp,
+                              const BackwardNeeds& needs) {
   if (!cache_.valid) throw std::logic_error("GaussianPolicy::backward: no cached sample");
   const int n = cache_.a.rows();
   if (dL_da.rows() != n || dL_da.cols() != act_dim_ || dL_dlogp.rows() != n ||
@@ -131,7 +132,7 @@ void GaussianPolicy::backward(const Matrix& dL_da, const Matrix& dL_dlogp) {
       dhead_(i, act_dim_ + j) = dL_da(i, j) * da_dls + glp * dlogp_dls;
     }
   }
-  trunk_->backward(dhead_);
+  trunk_->backward(dhead_, needs);
   cache_.valid = false;
 }
 

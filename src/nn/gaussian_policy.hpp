@@ -70,8 +70,10 @@ class GaussianPolicy {
   }
 
   // Chain loss gradients through the last sample() into the trunk.
-  // dL_da: batch x act_dim; dL_dlogp: batch x 1.
-  void backward(const Matrix& dL_da, const Matrix& dL_dlogp);
+  // dL_da: batch x act_dim; dL_dlogp: batch x 1. `needs` is passed to the
+  // trunk's backward (whose input grad this discards).
+  void backward(const Matrix& dL_da, const Matrix& dL_dlogp,
+                const BackwardNeeds& needs = {});
 
   void zero_grad() { trunk_->zero_grad(); }
   std::vector<Matrix*> params() { return trunk_->params(); }

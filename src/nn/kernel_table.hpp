@@ -1,6 +1,6 @@
 // Internal per-tier kernel table consumed by the GEMM/GEMV drivers in
-// matrix.cpp. Not installed API: only matrix.cpp, matrix_avx2.cpp, and
-// simd.cpp include this.
+// matrix.cpp and by Adam::step. Not installed API: only the nn/ TUs that
+// define or dispatch a tier include this.
 //
 // Every function in a table must keep the ascending-k summation chain per
 // C element (the determinism-per-tier contract in simd.hpp): the
@@ -10,11 +10,25 @@
 // The scalar tier multiplies-then-adds; the AVX2 tier fuses every
 // multiply-add (vector lanes and ragged tails alike) so its chains are
 // internally consistent too.
+//
+// The adam entry is the exception to "tiers may differ": it does no
+// reduction, and every tier evaluates the same expression with no
+// multiply-add contraction (its AVX2 entry lives in adam_avx2.cpp, built
+// with -ffp-contract=off and without -mfma). Division and sqrt are
+// correctly rounded per lane, so all tiers agree bit-for-bit.
 #pragma once
+
+#include <cstddef>
 
 #include "nn/matrix.hpp"
 
 namespace adsec::detail {
+
+// Per-step Adam constants: moment decay rates, the step's bias corrections
+// 1 - beta^t, learning rate, and epsilon.
+struct AdamCoeffs {
+  double b1, b2, bc1, bc2, lr, eps;
+};
 
 struct KernelTable {
   int mr;  // register-tile rows   (A packed [p][mr])
@@ -28,6 +42,10 @@ struct KernelTable {
   // row[j] = act(row[j] + bias[j]); bias may be null. Must match the scalar
   // epilogue bitwise on every input (including -0.0 and NaN for ReLU).
   void (*epilogue)(double* row, const double* bias, Activation act, int n);
+  // One Adam update of n parameters in place: m, v moments from grad g,
+  // then p -= lr * mhat / (sqrt(vhat) + eps). g is read only.
+  void (*adam)(double* p, const double* g, double* m, double* v, std::size_t n,
+               const AdamCoeffs& c);
 };
 
 // Upper bounds over all tiers, for stack accumulator tiles in the driver.
@@ -41,6 +59,11 @@ const KernelTable& scalar_kernel_table();
 // -mavx2), which is how the default build stays portable with no CMake
 // feature defines.
 const KernelTable* avx2_kernel_table();
+
+// Defined in adam_avx2.cpp (compiled with -mavx2 and no contraction);
+// referenced only by the AVX2 table.
+void adam_avx2(double* p, const double* g, double* m, double* v, std::size_t n,
+               const AdamCoeffs& c);
 
 // The table for simd::active_tier(), resolving it on first use.
 const KernelTable& active_kernel_table();

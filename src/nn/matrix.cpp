@@ -195,6 +195,23 @@ void epilogue_scalar(double* __restrict row, const double* __restrict bias,
   }
 }
 
+// The scalar tier's Adam update: multiply-then-add (this TU is built with
+// -ffp-contract=off), the expression adam_avx2 vectorises.
+void adam_scalar(double* __restrict p, const double* __restrict g,
+                 double* __restrict m, double* __restrict v, std::size_t n,
+                 const detail::AdamCoeffs& c) {
+  const double b1 = c.b1, b2 = c.b2, bc1 = c.bc1, bc2 = c.bc2;
+  const double lr = c.lr, eps = c.eps;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double gi = g[i];
+    m[i] = b1 * m[i] + (1.0 - b1) * gi;
+    v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
+    const double mhat = m[i] / bc1;
+    const double vhat = v[i] / bc2;
+    p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+}
+
 // Pack buffers grow once and are reused for every subsequent call on the
 // thread, so steady-state GEMM performs no heap allocation. thread_local
 // keeps parallel-eval workers race-free without locks; the 32-byte-aligned
@@ -396,7 +413,7 @@ namespace detail {
 
 const KernelTable& scalar_kernel_table() {
   static const KernelTable table{kMr, kNr, micro_kernel, gemv_axpy_scalar,
-                                 gemv_dot_scalar, epilogue_scalar};
+                                 gemv_dot_scalar, epilogue_scalar, adam_scalar};
   return table;
 }
 
@@ -424,6 +441,20 @@ void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate
   prep_dest(c, a.rows(), b.rows(), accumulate, "matmul_nt_into");
   gemm(c.data(), a.rows(), b.rows(), a.cols(), {a.data(), a.cols(), 1},
        {b.data(), 1, b.cols()}, accumulate, {});
+}
+
+void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, int b_row_begin,
+                    int b_row_end) {
+  if (a.cols() != b.cols()) throw std::invalid_argument("matmul_nt: dim mismatch");
+  if (b_row_begin < 0 || b_row_begin > b_row_end || b_row_end > b.rows()) {
+    throw std::invalid_argument("matmul_nt: row range out of bounds");
+  }
+  assert(no_alias(c, a) && no_alias(c, b));
+  prep_dest(c, a.rows(), b_row_end - b_row_begin, false, "matmul_nt_into");
+  if (b_row_begin == b_row_end) return;  // nothing requested, nothing counted
+  gemm(c.data(), a.rows(), b_row_end - b_row_begin, a.cols(), {a.data(), a.cols(), 1},
+       {b.data() + static_cast<std::size_t>(b_row_begin) * b.cols(), 1, b.cols()}, false,
+       {});
 }
 
 void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,

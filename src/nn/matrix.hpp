@@ -121,6 +121,14 @@ void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate
 // C = A * B^T (+ C).
 void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, bool accumulate = false);
 
+// C = A * B[b_row_begin, b_row_end)^T: the columns [b_row_begin, b_row_end)
+// of the full A * B^T, reading B's row range in place (no copy). Each element
+// keeps the full product's summation chain, so the result is bit-identical
+// to those columns of matmul_nt_into(c, a, b). An empty range yields an
+// a.rows() x 0 result.
+void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b, int b_row_begin,
+                    int b_row_end);
+
 // Y = act(X * W + 1 * b): GEMM with the bias broadcast and activation fused
 // into the store epilogue (Y is touched once). b is 1 x out.
 void linear_forward_into(Matrix& y, const Matrix& x, const Matrix& w, const Matrix& b,

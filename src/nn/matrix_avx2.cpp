@@ -136,7 +136,7 @@ namespace detail {
 
 const KernelTable* avx2_kernel_table() {
   static const KernelTable table{kMr, kNr, micro_kernel_avx2, gemv_axpy_avx2,
-                                 gemv_dot_avx2, epilogue_avx2};
+                                 gemv_dot_avx2, epilogue_avx2, adam_avx2};
   return &table;
 }
 

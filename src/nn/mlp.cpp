@@ -96,7 +96,7 @@ void Mlp::prepack_weights(std::vector<WeightPack>& packs) const {
   }
 }
 
-const Matrix& Mlp::backward(const Matrix& grad_out) {
+const Matrix& Mlp::backward(const Matrix& grad_out, const BackwardNeeds& needs) {
   if (!cached_) throw std::logic_error("Mlp::backward: no cached forward");
   Matrix* cur = &gbuf_a_;
   Matrix* next = &gbuf_b_;
@@ -106,10 +106,17 @@ const Matrix& Mlp::backward(const Matrix& grad_out) {
     if (l < num_layers() - 1) {
       apply_activation_grad(act_, hiddens_[ul], *cur);
     }
-    const Matrix& input = l == 0 ? in0_ : hiddens_[ul - 1];
-    matmul_tn_into(w_grads_[ul], input, *cur, /*accumulate=*/true);
-    column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
-    matmul_nt_into(*next, *cur, weights_[ul]);
+    if (needs.weight_grads) {
+      const Matrix& input = l == 0 ? in0_ : hiddens_[ul - 1];
+      matmul_tn_into(w_grads_[ul], input, *cur, /*accumulate=*/true);
+      column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
+    }
+    if (l > 0) {
+      matmul_nt_into(*next, *cur, weights_[ul]);
+    } else {
+      matmul_nt_into(*next, *cur, weights_[ul], needs.input_begin,
+                     needs.input_end_for(in_dim()));
+    }
     std::swap(cur, next);
   }
   return *cur;

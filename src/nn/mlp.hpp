@@ -19,6 +19,31 @@
 
 namespace adsec {
 
+// What a backward() pass must produce. The default is everything; a caller
+// that reads only part of the result asks for less, and the products whose
+// results nothing reads are skipped. Each value that is still computed keeps
+// the ascending-k chain of the full pass, so it is bit-identical to the
+// default's within a SIMD tier.
+struct BackwardNeeds {
+  // Accumulate the parameter grads. Off leaves grads() untouched.
+  bool weight_grads{true};
+  // Input-grad columns [input_begin, input_end) to return; input_end < 0
+  // means in_dim(). backward() then returns a batch x (end - begin) matrix
+  // holding exactly those columns. An empty range skips the first layer's
+  // input-grad product and returns batch x 0.
+  int input_begin{0};
+  int input_end{-1};
+
+  // Parameter grads only; the returned input grad is batch x 0.
+  static BackwardNeeds params_only() { return {true, 0, 0}; }
+  // Input-grad columns [begin, end) only; parameter grads untouched.
+  static BackwardNeeds input_only(int begin = 0, int end = -1) {
+    return {false, begin, end};
+  }
+
+  int input_end_for(int in_dim) const { return input_end < 0 ? in_dim : input_end; }
+};
+
 // Feature-extractor interface used by policy/critic heads.
 class Trunk {
  public:
@@ -58,8 +83,9 @@ class Trunk {
   }
 
   // Backprop: accumulates parameter grads, returns grad w.r.t. the input
-  // (valid until the next forward()/backward()).
-  virtual const Matrix& backward(const Matrix& grad_out) = 0;
+  // (valid until the next forward()/backward()); `needs` narrows both.
+  virtual const Matrix& backward(const Matrix& grad_out,
+                                 const BackwardNeeds& needs = {}) = 0;
 
   virtual void zero_grad() = 0;
   virtual std::vector<Matrix*> params() = 0;
@@ -84,7 +110,8 @@ class Mlp : public Trunk {
   void forward_inference_into(const Matrix& x, Matrix& out,
                               std::vector<WeightPack>& packs) const override;
   void prepack_weights(std::vector<WeightPack>& packs) const override;
-  const Matrix& backward(const Matrix& grad_out) override;
+  const Matrix& backward(const Matrix& grad_out,
+                         const BackwardNeeds& needs = {}) override;
 
   void zero_grad() override;
   std::vector<Matrix*> params() override;

@@ -1,7 +1,6 @@
 #include "nn/pnn.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace adsec {
@@ -111,7 +110,7 @@ void PnnTrunk::forward_inference_into(const Matrix& x, Matrix& out) const {
   }
 }
 
-const Matrix& PnnTrunk::backward(const Matrix& grad_out) {
+const Matrix& PnnTrunk::backward(const Matrix& grad_out, const BackwardNeeds& needs) {
   if (!cached_) throw std::logic_error("PnnTrunk::backward: no cached forward");
   const int L = static_cast<int>(weights_.size());
   Matrix* cur = &gbuf_a_;
@@ -122,22 +121,21 @@ const Matrix& PnnTrunk::backward(const Matrix& grad_out) {
     if (l < L - 1) {
       apply_activation_grad(base_.hidden_activation(), hiddens_[ul], *cur);
     }
-    matmul_tn_into(w_grads_[ul], inputs_[ul], *cur, /*accumulate=*/true);
-    column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
-    matmul_nt_into(*next, *cur, weights_[ul]);
-    if (l == 0) {
-      std::swap(cur, next);  // gradient w.r.t. the observation
-    } else {
-      // Keep only the own-column slice; the lateral slice feeds the frozen
-      // column and is dropped.
-      const int own = hiddens_[static_cast<std::size_t>(l - 1)].cols();
-      cur->resize(next->rows(), own);
-      for (int i = 0; i < next->rows(); ++i) {
-        std::memcpy(cur->data() + static_cast<std::size_t>(i) * own,
-                    next->data() + static_cast<std::size_t>(i) * next->cols(),
-                    static_cast<std::size_t>(own) * sizeof(double));
-      }
+    if (needs.weight_grads) {
+      matmul_tn_into(w_grads_[ul], inputs_[ul], *cur, /*accumulate=*/true);
+      column_sum_into(b_grads_[ul], *cur, /*accumulate=*/true);
     }
+    if (l == 0) {
+      // Gradient w.r.t. the observation.
+      matmul_nt_into(*next, *cur, weights_[ul], needs.input_begin,
+                     needs.input_end_for(in_dim()));
+    } else {
+      // Only the own-column slice; the lateral slice feeds the frozen
+      // column and is never computed.
+      const int own = hiddens_[ul - 1].cols();
+      matmul_nt_into(*next, *cur, weights_[ul], 0, own);
+    }
+    std::swap(cur, next);
   }
   return *cur;
 }

@@ -26,7 +26,8 @@ class PnnTrunk : public Trunk {
 
   const Matrix& forward(const Matrix& x) override;
   void forward_inference_into(const Matrix& x, Matrix& out) const override;
-  const Matrix& backward(const Matrix& grad_out) override;
+  const Matrix& backward(const Matrix& grad_out,
+                         const BackwardNeeds& needs = {}) override;
 
   void zero_grad() override;
   std::vector<Matrix*> params() override;  // column-2 parameters only

@@ -41,6 +41,9 @@ constexpr double kBackoffBaseMs = 1.0;
 constexpr double kBackoffMaxMs = 50.0;
 constexpr std::uint64_t kBackoffSeed = 0x0badc0ffeeULL;
 
+// How often the deadline watchdog rescans running jobs.
+constexpr int kWatchdogPollMs = 5;
+
 // Transient failures are worth retrying: the same inputs may succeed on the
 // next attempt (I/O hiccup, admission backpressure, a corrupt artifact that
 // its owner re-creates, an internal fault from the chaos harness). Config,
@@ -148,7 +151,7 @@ class GridExecution {
         record_crash(i, std::current_exception());
         return;
       } catch (const Error& e) {
-        if (is_transient(e.code()) && attempt < options_.max_retries &&
+        if (is_transient(e.code()) && attempt < kMaxJobRetries &&
             still_running(i)) {
           ++attempt;
           {
@@ -268,7 +271,7 @@ class GridExecution {
         }
       }
       cv_.wait_for(lock,
-                   std::chrono::milliseconds(options_.watchdog_poll_ms));
+                   std::chrono::milliseconds(kWatchdogPollMs));
     }
   }
 

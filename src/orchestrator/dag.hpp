@@ -42,12 +42,13 @@ struct JobOutcome {
   int retries{0};
 };
 
+// Transient-failure retries per job (JobOutcome::retries never exceeds it).
+inline constexpr int kMaxJobRetries = 2;
+
 struct GridOptions {
   int jobs{1};             // pool width, capped at the DAG's job count;
                            // <= 0 selects hardware_jobs()
-  int max_retries{2};      // transient-failure retries per job
   int deadline_ms{0};      // per-job deadline; 0 disables the watchdog
-  int watchdog_poll_ms{5};
   std::function<void(int, int)> on_progress;  // (terminal jobs, total jobs)
 };
 

@@ -66,7 +66,7 @@ BcResult bc_train(GaussianPolicy& policy, const Matrix& obs, const Matrix& acts,
       dL_dlogp.resize(bsz, 1);
       for (int i = 0; i < bsz; ++i) dL_dlogp(i, 0) = config.entropy_weight / bsz;
 
-      policy.backward(dL_da, dL_dlogp);
+      policy.backward(dL_da, dL_dlogp, BackwardNeeds::params_only());
       opt.step();
       epoch_loss += loss;
       ++batches;

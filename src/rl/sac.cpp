@@ -134,7 +134,7 @@ void Sac::update(const ReplayBuffer& buffer, Rng& rng) {
       closs += err * err / (2.0 * B);
       s.grad(i, 0) = 2.0 * err / B;
     }
-    q->backward(s.grad);
+    q->backward(s.grad, BackwardNeeds::params_only());
   }
   last_critic_loss_ = closs;
   last_critic_grad_norm_ = grad_l2_norm(critic_grads_);
@@ -167,26 +167,24 @@ void Sac::update(const ReplayBuffer& buffer, Rng& rng) {
   }
   last_actor_loss_ = aloss;
 
-  // Input gradients of the critics give dL/da (last act_dim columns); the
-  // critic parameter grads accumulated here are discarded below. The
-  // returned references stay valid: each points into its own network.
-  const Matrix& gin1 = q1_.backward(s.g1);
-  const Matrix& gin2 = q2_.backward(s.g2);
-  q1_.zero_grad();
-  q2_.zero_grad();
-
+  // The critics' input grads over the action columns give dL/da. Their
+  // parameter grads are not computed: they stay zero from the critic
+  // step's Adam::step. The returned references stay valid: each points
+  // into its own network.
   const int act_dim = actor_.act_dim();
   const int obs_dim = s.batch.obs.cols();
+  const auto action_grad = BackwardNeeds::input_only(obs_dim, obs_dim + act_dim);
+  const Matrix& gin1 = q1_.backward(s.g1, action_grad);
+  const Matrix& gin2 = q2_.backward(s.g2, action_grad);
+
   s.dL_da.resize(B, act_dim);
   for (int i = 0; i < B; ++i) {
-    for (int j = 0; j < act_dim; ++j) {
-      s.dL_da(i, j) = gin1(i, obs_dim + j) + gin2(i, obs_dim + j);
-    }
+    for (int j = 0; j < act_dim; ++j) s.dL_da(i, j) = gin1(i, j) + gin2(i, j);
   }
   s.dL_dlogp.resize(B, 1);
   for (int i = 0; i < B; ++i) s.dL_dlogp(i, 0) = alpha / B;
 
-  actor_.backward(s.dL_da, s.dL_dlogp);
+  actor_.backward(s.dL_da, s.dL_dlogp, BackwardNeeds::params_only());
   last_actor_grad_norm_ = grad_l2_norm(actor_grads_);
   actor_opt_->step();
 

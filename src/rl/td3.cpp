@@ -90,7 +90,7 @@ void Td3::update(const ReplayBuffer& buffer, Rng& rng) {
       closs += err * err / (2.0 * B);
       s.grad(i, 0) = 2.0 * err / B;
     }
-    q->backward(s.grad);
+    q->backward(s.grad, BackwardNeeds::params_only());
   }
   last_critic_loss_ = closs;
   q1_opt_->step();
@@ -106,18 +106,20 @@ void Td3::update(const ReplayBuffer& buffer, Rng& rng) {
   q1_.forward(s.qin_pi);
   s.gq.resize(B, 1);
   s.gq.fill(-1.0 / B);  // maximize Q1
-  const Matrix& gin = q1_.backward(s.gq);
-  q1_.zero_grad();
-
+  // Only dQ1/da; q1's parameter grads stay zero from the critic step's
+  // Adam::step.
   const int obs_dim = s.batch.obs.cols();
+  const Matrix& gin =
+      q1_.backward(s.gq, BackwardNeeds::input_only(obs_dim, obs_dim + act_dim_));
+
   s.da.resize(B, act_dim_);
   for (int i = 0; i < B; ++i) {
     for (int j = 0; j < act_dim_; ++j) {
       const double av = s.a(i, j);
-      s.da(i, j) = gin(i, obs_dim + j) * (1.0 - av * av);  // through tanh
+      s.da(i, j) = gin(i, j) * (1.0 - av * av);  // through tanh
     }
   }
-  actor_.backward(s.da);
+  actor_.backward(s.da, BackwardNeeds::params_only());
   actor_opt_->step();
 
   actor_target_.soft_update_from(actor_, config_.tau);

@@ -259,7 +259,7 @@ void execute(const AgentFactory& make_agent, const AttackerFactory& make_attacke
              const ExecuteOptions& options) {
   if (jobs.empty()) return;
   const int n = static_cast<int>(jobs.size());
-  const int workers = std::clamp(options.threads, 1, n);
+  const int workers = pool_size_for(std::max(options.threads, 1), jobs.size());
   const int capacity = std::clamp(options.lanes, 1, n);
   JobCursor cursor(n, options.on_progress);
   const auto run_fleet = [&](LaneFleet& fleet) {

@@ -61,7 +61,8 @@ struct LaneActors {
 using LaneFleet = std::vector<LaneActors>;
 
 struct ExecuteOptions {
-  int threads = 1;  // workers, capped at the job count; <= 1 => calling thread
+  int threads = 1;  // workers, capped at the job count and kMaxPoolThreads;
+                    // <= 1 => calling thread
   int lanes = 1;    // episode lanes per worker
 
   // Called after each finished job with (jobs done, total), from worker

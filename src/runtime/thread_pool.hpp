@@ -37,13 +37,19 @@ inline int hardware_jobs() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+// Ceiling on the OS threads of any one pool, whatever a flag or spec asks.
+inline constexpr int kMaxPoolThreads = 256;
+
 // Workers for a pool that never has more than `tasks` tasks in flight:
-// `requested` (<= 0 selects hardware_jobs()) capped at `tasks`, never 0.
-// Threads beyond the task count would only sit idle.
+// `requested` (<= 0 selects hardware_jobs()) capped at `tasks` and at
+// kMaxPoolThreads, never 0. Threads beyond the task count would only sit
+// idle.
 inline int pool_size_for(int requested, std::size_t tasks) {
   const std::size_t want =
       static_cast<std::size_t>(requested > 0 ? requested : hardware_jobs());
-  return static_cast<int>(std::clamp<std::size_t>(want, 1, std::max<std::size_t>(tasks, 1)));
+  const std::size_t cap = std::min<std::size_t>(
+      std::max<std::size_t>(tasks, 1), static_cast<std::size_t>(kMaxPoolThreads));
+  return static_cast<int>(std::clamp<std::size_t>(want, 1, cap));
 }
 
 class ThreadPool {

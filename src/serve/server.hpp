@@ -50,7 +50,7 @@ namespace adsec::serve {
 
 // Upper bound on ServerOptions::workers: each worker is an OS thread with
 // its own actor cache.
-inline constexpr int kMaxWorkers = 256;
+inline constexpr int kMaxWorkers = kMaxPoolThreads;
 
 struct ServerOptions {
   // Concurrent requests; <= 0 => min(hardware_jobs(), kMaxWorkers). Above

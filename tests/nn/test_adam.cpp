@@ -3,8 +3,89 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "nn/simd.hpp"
 
 namespace adsec {
+namespace reference {
+
+// The Adam update as one portable loop, before the per-element update moved
+// onto the SIMD kernel table: the oracle every tier's Adam::step must match
+// bit-for-bit. step() is that loop verbatim.
+struct AdamStep {
+  std::vector<Matrix*> params_;
+  std::vector<Matrix*> grads_;
+  std::vector<Matrix> m_;
+  std::vector<Matrix> v_;
+  AdamConfig config_;
+  long t_{0};
+
+  AdamStep(std::vector<Matrix*> params, std::vector<Matrix*> grads,
+           const AdamConfig& config)
+      : params_(std::move(params)), grads_(std::move(grads)), config_(config) {
+    for (const auto* p : params_) {
+      m_.emplace_back(p->rows(), p->cols());
+      v_.emplace_back(p->rows(), p->cols());
+    }
+  }
+
+  void step() {
+    ++t_;
+
+    if (config_.grad_clip > 0.0) {
+      double norm2 = 0.0;
+      for (const auto* g : grads_) {
+        const double* __restrict gd = g->data();
+        const std::size_t n = g->size();
+        for (std::size_t i = 0; i < n; ++i) norm2 += gd[i] * gd[i];
+      }
+      const double norm = std::sqrt(norm2);
+      if (norm > config_.grad_clip) {
+        const double s = config_.grad_clip / norm;
+        for (auto* g : grads_) g->scale_inplace(s);
+      }
+    }
+
+    // Hoisted pointers and constants; the expressions themselves are kept
+    // verbatim so parameter trajectories are unchanged.
+    const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
+    const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+    const double b1 = config_.beta1, b2 = config_.beta2;
+    const double lr = config_.lr, eps = config_.eps;
+    for (std::size_t k = 0; k < params_.size(); ++k) {
+      double* __restrict p = params_[k]->data();
+      double* __restrict g = grads_[k]->data();
+      double* __restrict m = m_[k].data();
+      double* __restrict v = v_[k].data();
+      const std::size_t n = params_[k]->size();
+      for (std::size_t i = 0; i < n; ++i) {
+        const double gi = g[i];
+        m[i] = b1 * m[i] + (1.0 - b1) * gi;
+        v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
+        const double mhat = m[i] / bc1;
+        const double vhat = v[i] / bc2;
+        p[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+      grads_[k]->set_zero();
+    }
+  }
+
+  // Adam::save's layout, from this state.
+  void save(BinaryWriter& w) const {
+    w.write_string("adam");
+    w.write_i64(t_);
+    w.write_f64(config_.lr);
+    w.write_u32(static_cast<std::uint32_t>(m_.size()));
+    for (const auto& m : m_) w.write_f64_vector(m.to_vector());
+    for (const auto& v : v_) w.write_f64_vector(v.to_vector());
+  }
+};
+
+}  // namespace reference
+
 namespace {
 
 TEST(Adam, ValidatesPairing) {
@@ -84,6 +165,106 @@ TEST(Adam, SetLrTakesEffect) {
   g(0, 0) = 1.0;
   opt.step();
   EXPECT_NEAR(p(0, 0), -0.001, 1e-5);
+}
+
+struct TierGuard {
+  ~TierGuard() { simd::reset_tier(); }
+};
+
+// Grad generators for the oracle comparison: ordinary values plus the edge
+// cases a vectorised loop could mishandle.
+enum class GradKind { Random, SignedZeros, Denormals, Huge };
+
+double draw(GradKind kind, Rng& rng, std::size_t i) {
+  switch (kind) {
+    case GradKind::Random:
+      return rng.normal(0.0, 0.5);
+    case GradKind::SignedZeros:
+      return i % 3 == 0 ? 0.0 : (i % 3 == 1 ? -0.0 : rng.normal());
+    case GradKind::Denormals: {
+      const double tiny = std::numeric_limits<double>::denorm_min();
+      return i % 2 == 0 ? tiny * static_cast<double>(i + 1)
+                        : -std::numeric_limits<double>::min() / 3.0;
+    }
+    case GradKind::Huge:
+      return rng.normal(0.0, 1e6);  // global norm far above grad_clip
+  }
+  return 0.0;
+}
+
+bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The FMA tolerance branch mirrors the GEMM parity suite: an
+// ADSEC_NATIVE (-march=native) build may contract the oracle's loop in this
+// TU, which the kernels never do.
+void expect_same(double got, double want, const char* what, std::size_t i) {
+#if defined(__FMA__)
+  EXPECT_NEAR(got, want, 1e-12 * (1.0 + std::abs(want))) << what << " " << i;
+#else
+  EXPECT_TRUE(bits_equal(got, want)) << what << " " << i << ": " << got << " vs " << want;
+#endif
+}
+
+TEST(Adam, StepMatchesReferenceBitwiseOnEveryTier) {
+  TierGuard guard;
+  // Odd lengths exercise the vector tail; 64 x 269 is the zoo critic's
+  // first layer.
+  const std::vector<std::pair<int, int>> shapes = {{1, 1}, {1, 3}, {5, 7}, {1, 13},
+                                                   {64, 269}, {1, 64}, {1, 1}};
+  for (const simd::Tier tier : simd::available_tiers()) {
+    simd::force_tier(tier);
+    for (const GradKind kind : {GradKind::Random, GradKind::SignedZeros,
+                                GradKind::Denormals, GradKind::Huge}) {
+      for (const double clip : {10.0, 0.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd::tier_name(tier) << " kind " << static_cast<int>(kind)
+                     << " clip " << clip);
+        Rng rng(41);
+        std::vector<Matrix> p_got, g_got, p_want, g_want;
+        for (const auto& [r, c] : shapes) {
+          p_got.push_back(Matrix::randn(r, c, rng, 1.0));
+          g_got.emplace_back(r, c);
+        }
+        p_want = p_got;
+        g_want = g_got;
+        std::vector<Matrix*> pg, gg, pw, gw;
+        for (std::size_t k = 0; k < shapes.size(); ++k) {
+          pg.push_back(&p_got[k]);
+          gg.push_back(&g_got[k]);
+          pw.push_back(&p_want[k]);
+          gw.push_back(&g_want[k]);
+        }
+        AdamConfig cfg;
+        cfg.lr = 1e-3;
+        cfg.grad_clip = clip;
+        Adam got(pg, gg, cfg);
+        reference::AdamStep want(pw, gw, cfg);
+        for (int step = 0; step < 4; ++step) {
+          for (std::size_t k = 0; k < shapes.size(); ++k) {
+            for (std::size_t i = 0; i < g_got[k].size(); ++i) {
+              const double v = draw(kind, rng, i);
+              g_got[k].data()[i] = v;
+              g_want[k].data()[i] = v;
+            }
+          }
+          got.step();
+          want.step();
+          for (std::size_t k = 0; k < shapes.size(); ++k) {
+            for (std::size_t i = 0; i < p_got[k].size(); ++i) {
+              expect_same(p_got[k].data()[i], p_want[k].data()[i], "param", i);
+              ASSERT_TRUE(bits_equal(g_got[k].data()[i], 0.0)) << "grad not zeroed";
+            }
+          }
+        }
+#if !defined(__FMA__)
+        BinaryWriter wg, ww;
+        got.save(wg);
+        want.save(ww);
+        EXPECT_EQ(wg.bytes(), ww.bytes()) << "moments differ";
+#endif
+      }
+    }
+  }
 }
 
 }  // namespace

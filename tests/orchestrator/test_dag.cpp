@@ -138,7 +138,6 @@ TEST_F(OrchDagTest, ExhaustedRetriesFailTheJobWithItsErrorClass) {
                        /*repeat=*/0);
   GridOptions opts;
   opts.jobs = 1;
-  opts.max_retries = 2;
   const GridReport report = run_grid(store, zoo, small_grid(), opts);
 
   EXPECT_FALSE(report.complete());
@@ -148,7 +147,7 @@ TEST_F(OrchDagTest, ExhaustedRetriesFailTheJobWithItsErrorClass) {
   const JobOutcome& first = report.failures.front();
   EXPECT_EQ(first.state, JobState::Failed);
   EXPECT_EQ(first.error_class, "io");
-  EXPECT_EQ(first.retries, 2);
+  EXPECT_EQ(first.retries, kMaxJobRetries);
   for (std::size_t i = 1; i < report.failures.size(); ++i) {
     EXPECT_EQ(report.failures[i].state, JobState::Skipped);
     EXPECT_EQ(report.failures[i].error_class, "skipped_dependency");
@@ -164,12 +163,11 @@ TEST_F(OrchDagTest, OnePermanentlyFailingCellDegradesGracefully) {
   PolicyZoo zoo = make_zoo();
   // "experiment.episode" fires inside run_episode — eval jobs only, after
   // both train jobs are done. One eval job eats the whole window
-  // (max_retries+1 attempts x 1 episode); the other three never see it.
+  // (kMaxJobRetries+1 attempts x 1 episode); the other three never see it.
   fault_injector().arm("experiment.episode", FaultKind::Throw, /*fire_at=*/1,
-                       /*repeat=*/3);
+                       /*repeat=*/kMaxJobRetries + 1);
   GridOptions opts;
   opts.jobs = 1;  // serial: the armed window cannot straddle two jobs
-  opts.max_retries = 2;
   const GridReport report = run_grid(store, zoo, small_grid(), opts);
 
   EXPECT_FALSE(report.complete());
@@ -178,7 +176,7 @@ TEST_F(OrchDagTest, OnePermanentlyFailingCellDegradesGracefully) {
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].state, JobState::Failed);
   EXPECT_EQ(report.failures[0].error_class, "internal");
-  EXPECT_EQ(report.failures[0].retries, 2);
+  EXPECT_EQ(report.failures[0].retries, kMaxJobRetries);
   EXPECT_EQ(report.failures[0].name.rfind("eval:", 0), 0u) << report.failures[0].name;
   EXPECT_EQ(store.finished_cells(), 3u);
 
@@ -197,9 +195,7 @@ TEST_F(OrchDagTest, WatchdogTimesOutAWedgedJob) {
                        /*repeat=*/1, /*param=*/300);
   GridOptions opts;
   opts.jobs = 1;
-  opts.max_retries = 0;
   opts.deadline_ms = 30;
-  opts.watchdog_poll_ms = 2;
   const GridReport report = run_grid(store, zoo, small_grid(), opts);
 
   EXPECT_FALSE(report.complete());

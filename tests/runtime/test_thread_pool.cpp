@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <vector>
@@ -33,6 +34,16 @@ TEST(ThreadPool, PoolSizeForCapsAtTaskCount) {
   EXPECT_EQ(pool_size_for(0, 1'000'000), hardware_jobs());
   EXPECT_EQ(pool_size_for(-7, 1), 1);
   EXPECT_EQ(pool_size_for(8, 0), 1);
+}
+
+TEST(ThreadPool, PoolSizeForCapsAtFixedCeiling) {
+  // Pure arithmetic: a request and a task count of 1e9 (what
+  // `adsec_cli --episodes N --jobs N` could ask for) size a pool of
+  // kMaxPoolThreads, and no pool is built here.
+  EXPECT_EQ(pool_size_for(1'000'000'000, 1'000'000'000), kMaxPoolThreads);
+  EXPECT_EQ(pool_size_for(kMaxPoolThreads + 1, 1'000'000), kMaxPoolThreads);
+  EXPECT_EQ(pool_size_for(kMaxPoolThreads, 1'000'000), kMaxPoolThreads);
+  EXPECT_EQ(pool_size_for(0, 1'000'000), std::min(hardware_jobs(), kMaxPoolThreads));
 }
 
 TEST(ThreadPool, ExceptionsPropagateThroughFutures) {
