@@ -1,10 +1,15 @@
 // Shared scaffolding for the figure-regeneration benches.
 #pragma once
 
+#include <stdlib.h>  // mkdtemp
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,7 +20,9 @@
 #include "common/table.hpp"
 #include "core/zoo.hpp"
 #include "nn/simd.hpp"
-#include "runtime/parallel_eval.hpp"
+#include "orchestrator/dag.hpp"
+#include "orchestrator/merge.hpp"
+#include "runtime/thread_pool.hpp"
 #include "telemetry/events.hpp"
 
 namespace adsec::bench {
@@ -30,29 +37,127 @@ inline PolicyZoo& zoo() {
 // Evaluation episode seeds are disjoint from training seeds.
 inline constexpr std::uint64_t kEvalSeedBase = 700000;
 
-// Worker count for parallel episode batches: ADSEC_JOBS overrides, default
-// hardware_concurrency. Parallel batches are bit-identical to serial ones
-// (see runtime/parallel_eval.hpp), so this only changes wall-clock time.
+// Worker count for a figure's cells: ADSEC_JOBS overrides, default
+// hardware_concurrency. Cells are bit-identical for any worker count, so
+// this only changes wall-clock time. A value that is not a positive
+// integer is reported and ignored.
 inline int bench_jobs() {
   const char* env = std::getenv("ADSEC_JOBS");
-  if (env != nullptr && *env != '\0') {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
+  if (env == nullptr || *env == '\0') return hardware_jobs();
+  int n = 0;
+  if (parse_int(env, 1, n)) return n;
+  log_warn("ADSEC_JOBS='%s' is not a positive integer; ignored", env);
   return hardware_jobs();
 }
 
-// Episode lanes per worker for cross-episode batched inference:
-// ADSEC_LANES overrides, default 8. Lane-batched runs are bit-identical to
-// serial ones for any lane count (see runtime/executor.hpp), so like
-// ADSEC_JOBS this only changes wall-clock time.
-inline int bench_lanes() {
-  const char* env = std::getenv("ADSEC_LANES");
-  if (env != nullptr && *env != '\0') {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+// The paper's name for an agent spec (serve/spec.hpp); other specs print
+// as themselves. The zoo holds one fine-tuned policy per published rho: any
+// rho below 0.2 selects rho = 1/11.
+inline std::string agent_label(const std::string& spec) {
+  static const std::map<std::string, std::string> labels = {
+      {"e2e", "pi_ori"},
+      {"finetune:0.0909", "pi_adv,rho=1/11"},
+      {"finetune:0.5", "pi_adv,rho=1/2"},
+      {"pnn:0.2", "pi_pnn,sigma=0.2"},
+      {"pnn:0.4", "pi_pnn,sigma=0.4"}};
+  const auto it = labels.find(spec);
+  return it == labels.end() ? spec : it->second;
+}
+
+// A merged table with its first (agent) column in the paper's names.
+inline Table with_agent_labels(const Table& merged) {
+  Table out(merged.headers());
+  for (std::vector<std::string> row : merged.row_data()) {
+    row.front() = agent_label(row.front());
+    out.add_row(std::move(row));
   }
-  return 8;
+  return out;
+}
+
+// One figure cell on the paper scenario. Budget 0 is the unattacked run:
+// attacker "none", for which resolve_spec gives the PNN switcher an attack
+// estimate of 0.
+inline orch::Cell figure_cell(const std::string& agent, const std::string& attacker,
+                              double budget, int episodes, std::uint64_t seed,
+                              bool with_reference = false) {
+  orch::Cell c;
+  c.agent = agent;
+  c.attacker = budget > 0.0 ? attacker : "none";
+  c.scenario = "paper";
+  c.budget = budget;
+  c.episodes = episodes;
+  c.seed = seed;
+  c.with_reference = with_reference;
+  return c;
+}
+
+// Figs. 5, 7 and 8 sweep the camera attack over eps = 0, 0.1, ..., 1.2;
+// budget index bi evaluates seeds kEvalSeedBase + 1000*bi onwards.
+inline void add_effort_sweep(std::vector<orch::Cell>& cells, const std::string& agent,
+                             int episodes, bool with_reference) {
+  for (int bi = 0; bi <= 12; ++bi) {
+    cells.push_back(figure_cell(agent, "camera", bi * 0.1, episodes,
+                                kEvalSeedBase + 1000 * static_cast<std::uint64_t>(bi),
+                                with_reference));
+  }
+}
+
+// A figure's cells after run_figure: the merged tables, and each cell's
+// stored episodes for the headline lines the tables do not carry.
+struct FigureRun {
+  std::vector<orch::Cell> cells;
+  std::vector<std::vector<EpisodeMetrics>> episodes;  // per cell
+  orch::MergedTables tables;
+
+  // Every episode of `agent`'s cells, in cell order.
+  std::vector<EpisodeMetrics> episodes_of(const std::string& agent) const {
+    std::vector<EpisodeMetrics> out;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i].agent != agent) continue;
+      out.insert(out.end(), episodes[i].begin(), episodes[i].end());
+    }
+    return out;
+  }
+};
+
+// Runs a figure's cells on the orchestrator with bench_jobs() workers: the
+// DAG trains independent zoo policies concurrently and evaluates cells in
+// parallel. The store is a fresh temporary directory, removed afterwards,
+// because a cell key covers only the cell config and kOrchFormatVersion —
+// not the code or the zoo contents — so a persistent store would serve
+// stale figures after a code change. Exits with status 1 if a cell fails.
+inline FigureRun run_figure(std::vector<orch::Cell> cells) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "adsec_bench_XXXXXX").string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    std::fprintf(stderr, "bench: cannot create a store under %s\n", dir.c_str());
+    std::exit(1);
+  }
+  FigureRun run;
+  run.cells = std::move(cells);
+  orch::GridReport report;
+  try {
+    orch::ResultStore store(dir);
+    orch::GridOptions options;
+    options.jobs = bench_jobs();
+    report = orch::run_cells(store, zoo(), run.cells, options);
+    std::vector<std::optional<orch::CellResult>> results;
+    for (const orch::Cell& cell : run.cells) results.push_back(store.lookup(cell));
+    run.tables = orch::merge_cells(run.cells, results);
+    for (auto& r : results) {
+      run.episodes.push_back(r ? std::move(r->episodes) : std::vector<EpisodeMetrics>{});
+    }
+  } catch (...) {
+    std::filesystem::remove_all(dir);
+    throw;
+  }
+  std::filesystem::remove_all(dir);
+  if (!report.complete()) {
+    std::fprintf(stderr, "bench: %d of %d cells failed\n", report.cells_failed,
+                 report.cells_total);
+    std::exit(1);
+  }
+  return run;
 }
 
 // Machine-readable mirror of everything a bench binary prints. Each bench

@@ -8,60 +8,8 @@
 // cuts the nominal driving reward by roughly 84%.
 #include "bench_common.hpp"
 
-#include "core/experiment.hpp"
-
 using namespace adsec;
 using namespace adsec::bench;
-
-namespace {
-
-void sweep(const std::string& label, bool imu, int episodes) {
-  ExperimentConfig cfg = zoo().experiment();
-  auto agent = zoo().make_e2e_agent();
-
-  Table nominal({"budget", "min", "q1", "median", "q3", "max", "mean"});
-  Table adversarial({"budget", "min", "q1", "median", "q3", "max", "mean",
-                     "success rate"});
-  double nominal_at_zero = 0.0, nominal_at_one = 0.0;
-
-  for (double budget : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    std::unique_ptr<Attacker> attacker;
-    if (imu) {
-      attacker = zoo().make_imu_attacker(budget);
-    } else {
-      attacker = zoo().make_camera_attacker(budget);
-    }
-    const auto ms =
-        run_batch(*agent, budget > 0.0 ? attacker.get() : nullptr, cfg, episodes,
-                  kEvalSeedBase);
-    const auto rewards =
-        collect(ms, [](const EpisodeMetrics& m) { return m.nominal_reward; });
-    const auto adv = collect(ms, [](const EpisodeMetrics& m) { return m.adv_reward; });
-    const BoxStats rb = box_stats(rewards);
-    const BoxStats ab = box_stats(adv);
-    nominal.add_row_values({budget, rb.min, rb.q1, rb.median, rb.q3, rb.max, rb.mean}, 2);
-    adversarial.add_row({fmt(budget, 2), fmt(ab.min, 2), fmt(ab.q1, 2),
-                         fmt(ab.median, 2), fmt(ab.q3, 2), fmt(ab.max, 2),
-                         fmt(ab.mean, 2), fmt_pct(success_rate(ms))});
-    if (budget == 0.0) nominal_at_zero = rb.mean;
-    if (budget == 1.0) nominal_at_one = rb.mean;
-  }
-
-  std::printf("-- Fig. 4(a) nominal driving reward, %s attack --\n", label.c_str());
-  nominal.print();
-  maybe_write_csv(nominal, "fig4a_" + label);
-  std::printf("\n-- Fig. 4(b) adversarial reward, %s attack --\n", label.c_str());
-  adversarial.print();
-  maybe_write_csv(adversarial, "fig4b_" + label);
-  if (nominal_at_zero > 1e-9) {
-    std::printf("\n%s attack at eps=1.00 reduces nominal reward by %s "
-                "(paper, camera: ~84%%)\n\n",
-                label.c_str(),
-                fmt_pct(1.0 - nominal_at_one / nominal_at_zero).c_str());
-  }
-}
-
-}  // namespace
 
 int main() {
   bench_init("fig4_budget");
@@ -69,7 +17,29 @@ int main() {
   print_header("Attack effect vs attack budget (camera vs IMU)",
                "Fig. 4(a)/(b), Sec. V-A");
   const int episodes = eval_episodes(30);
-  sweep("camera", /*imu=*/false, episodes);
-  sweep("imu", /*imu=*/true, episodes);
+
+  // Every budget evaluates the same seeds; the unattacked eps = 0 cell is
+  // shared by both attacks.
+  std::vector<orch::Cell> cells{
+      figure_cell("e2e", "none", 0.0, episodes, kEvalSeedBase)};
+  for (const char* attacker : {"camera", "imu"}) {
+    for (double budget : {0.25, 0.5, 0.75, 1.0}) {
+      cells.push_back(figure_cell("e2e", attacker, budget, episodes, kEvalSeedBase));
+    }
+  }
+  const FigureRun run = run_figure(std::move(cells));
+
+  std::printf("-- Fig. 4(a)/(b) nominal and adversarial reward, e2e agent --\n");
+  run.tables.rewards.print();
+  maybe_write_csv(run.tables.rewards, "fig4");
+
+  const double unattacked = run.tables.reward_rows.front().nominal.mean;
+  for (const orch::RewardRow& r : run.tables.reward_rows) {
+    if (r.budget != 1.0 || unattacked <= 1e-9) continue;
+    std::printf("\n%s attack at eps=1.00 reduces nominal reward by %s "
+                "(paper, camera: ~84%%)\n",
+                r.attacker.c_str(),
+                fmt_pct(1.0 - r.nominal.mean / unattacked).c_str());
+  }
   return 0;
 }

@@ -9,106 +9,48 @@
 // vs e2e.
 #include "bench_common.hpp"
 
-#include "core/experiment.hpp"
-
 using namespace adsec;
 using namespace adsec::bench;
 
 namespace {
 
-struct SweepResult {
-  std::vector<double> efforts;
-  std::vector<bool> successes;
-  std::vector<double> deviations;
-  std::vector<double> ttc;  // successful episodes only
-};
-
-SweepResult sweep_agent(const std::string& label, const AgentFactory& make_agent,
-                        bool attacker_vs_modular, int rounds) {
-  ExperimentConfig cfg = zoo().experiment();
-  SweepResult out;
-
-  // Train/load the attack policy once, serially, before any workers fork;
-  // each worker's attacker is then built from a copy.
-  const GaussianPolicy attack_policy = attacker_vs_modular
-                                           ? zoo().camera_attacker_vs_modular()
-                                           : zoo().camera_attacker_vs_e2e();
-
-  Table t({"budget", "episodes", "mean effort", "route RMSE", "ref-traj RMSE",
-           "side collisions", "mean ttc (s)"});
-  for (int bi = 0; bi <= 12; ++bi) {
-    const double budget = bi * 0.1;
-    AttackerFactory make_attacker;
-    if (budget > 0.0) {
-      make_attacker = [&attack_policy, budget] {
-        return std::make_unique<LearnedCameraAttacker>(
-            attack_policy, budget, zoo().camera(), zoo().frame_stack());
-      };
-    }
-    // Seeds match the serial sweep: episode r of budget bi uses
-    // kEvalSeedBase + 1000*bi + r, and the batch comes back in r order.
-    // Lane-batched inference (ADSEC_LANES) shares one policy forward
-    // across in-flight episodes without changing any result bit.
-    ParallelEvalOptions run_opts;
-    run_opts.jobs = bench_jobs();
-    run_opts.batch_lanes = bench_lanes();
-    run_opts.with_reference = true;
-    const auto ms = run_batch_parallel(
-        make_agent, make_attacker, cfg, rounds,
-        kEvalSeedBase + 1000 * static_cast<std::uint64_t>(bi), run_opts);
-    RunningStats eff, route_dev, ref_dev, ttc;
-    int side = 0;
-    for (const EpisodeMetrics& m : ms) {
-      out.efforts.push_back(m.attack_effort);
-      out.successes.push_back(m.side_collision);
-      out.deviations.push_back(m.plan_deviation_rmse);
-      eff.add(m.attack_effort);
-      route_dev.add(m.plan_deviation_rmse);
-      ref_dev.add(m.deviation_rmse);
-      if (m.side_collision) {
-        ++side;
-        if (m.time_to_collision >= 0.0) {
-          ttc.add(m.time_to_collision);
-          out.ttc.push_back(m.time_to_collision);
-        }
-      }
-    }
-    t.add_row({fmt(budget, 1), std::to_string(rounds), fmt(eff.mean(), 3),
-               fmt(route_dev.mean(), 3), fmt(ref_dev.mean(), 3),
-               std::to_string(side), ttc.count() > 0 ? fmt(ttc.mean(), 2) : "-"});
-  }
-  std::printf("-- Fig. 5: %s agent under camera attack --\n", label.c_str());
-  t.print();
-  maybe_write_csv(t, "fig5_" + label);
-
+// The Sec. V-B headline lines for one agent's sweep.
+void print_headlines(const std::string& agent, const std::vector<EpisodeMetrics>& ms) {
   // Effort level above which successes dominate (>50% of episodes in a 0.1
   // effort band are successful).
-  double dominance = -1.0;
   for (double lo = 0.0; lo < 1.2; lo += 0.1) {
     int n = 0, s = 0;
-    for (std::size_t i = 0; i < out.efforts.size(); ++i) {
-      if (out.efforts[i] >= lo && out.efforts[i] < lo + 0.1) {
+    for (const EpisodeMetrics& m : ms) {
+      if (m.attack_effort >= lo && m.attack_effort < lo + 0.1) {
         ++n;
-        s += out.successes[i] ? 1 : 0;
+        s += m.side_collision ? 1 : 0;
       }
     }
     if (n >= 3 && s * 2 > n) {
-      dominance = lo;
+      std::printf("%s: successes dominate above effort ~%.1f "
+                  "(paper: ~0.6 modular, ~0.5 e2e)\n",
+                  agent.c_str(), lo);
       break;
     }
   }
-  if (dominance >= 0.0) {
-    std::printf("successes dominate above effort ~%.1f "
-                "(paper: ~0.6 modular, ~0.5 e2e)\n",
-                dominance);
+  std::vector<double> ttc;
+  for (const EpisodeMetrics& m : ms) {
+    if (m.side_collision && m.time_to_collision >= 0.0) ttc.push_back(m.time_to_collision);
   }
-  if (!out.ttc.empty()) {
-    std::printf("time to collision: mean %.2f s, min %.2f s "
+  if (!ttc.empty()) {
+    std::printf("%s: time to collision: mean %.2f s, min %.2f s "
                 "(paper: 1.14/0.9 modular, 0.87/0.3 e2e; human driver min 1.25 s)\n",
-                mean(out.ttc), min_of(out.ttc));
+                agent.c_str(), mean(ttc), min_of(ttc));
   }
-  std::printf("\n");
-  return out;
+}
+
+// Mean route RMSE of the unsuccessful episodes below effort 0.4.
+double low_effort_rmse(const std::vector<EpisodeMetrics>& ms) {
+  RunningStats low;
+  for (const EpisodeMetrics& m : ms) {
+    if (m.attack_effort < 0.4 && !m.side_collision) low.add(m.plan_deviation_rmse);
+  }
+  return low.mean();
 }
 
 }  // namespace
@@ -120,26 +62,23 @@ int main() {
                "Fig. 5(a)/(b) and Sec. V-B timing");
   const int rounds = eval_episodes(10);
 
-  const AgentFactory modular = [] { return zoo().make_modular_agent(); };
-  const SweepResult mod = sweep_agent("modular", modular, /*vs_modular=*/true, rounds);
-
-  // Resolve pi_ori serially; workers then instantiate agents from copies.
-  const GaussianPolicy pi_ori = zoo().driving_policy();
-  const AgentFactory e2e = [&pi_ori] {
-    return std::make_unique<E2EAgent>(pi_ori, zoo().camera(), zoo().frame_stack());
-  };
-  const SweepResult e = sweep_agent("e2e", e2e, /*vs_modular=*/false, rounds);
-
-  // Headline comparison: tracking error at low effort.
-  RunningStats mod_low, e2e_low;
-  for (std::size_t i = 0; i < mod.efforts.size(); ++i) {
-    if (mod.efforts[i] < 0.4 && !mod.successes[i]) mod_low.add(mod.deviations[i]);
+  // Each agent faces the camera attacker trained against it.
+  std::vector<orch::Cell> cells;
+  for (const char* agent : {"modular", "e2e"}) {
+    add_effort_sweep(cells, agent, rounds, /*with_reference=*/true);
   }
-  for (std::size_t i = 0; i < e.efforts.size(); ++i) {
-    if (e.efforts[i] < 0.4 && !e.successes[i]) e2e_low.add(e.deviations[i]);
+  const FigureRun run = run_figure(std::move(cells));
+
+  std::printf("-- Fig. 5: modular and e2e agents under camera attack --\n");
+  run.tables.fig5.print();
+  maybe_write_csv(run.tables.fig5, "fig5");
+  std::printf("\n");
+  for (const char* agent : {"modular", "e2e"}) {
+    print_headlines(agent, run.episodes_of(agent));
   }
   std::printf("low-effort (<0.4) tracking RMSE: modular %.3f vs e2e %.3f "
               "(paper: modular maintains smaller errors)\n",
-              mod_low.mean(), e2e_low.mean());
+              low_effort_rmse(run.episodes_of("modular")),
+              low_effort_rmse(run.episodes_of("e2e")));
   return 0;
 }

@@ -9,34 +9,8 @@
 // high budgets (same second column).
 #include "bench_common.hpp"
 
-#include "core/experiment.hpp"
-#include "defense/pnn_agent.hpp"
-
 using namespace adsec;
 using namespace adsec::bench;
-
-namespace {
-
-constexpr double kBudgets[] = {0.0, 0.25, 0.5, 0.75, 1.0};
-
-void sweep(const std::string& label, DrivingAgent& agent,
-           PnnSwitchedAgent* pnn_switcher, int episodes, Table& summary) {
-  ExperimentConfig cfg = zoo().experiment();
-  std::vector<std::string> row{label};
-  for (double budget : kBudgets) {
-    auto attacker = zoo().make_camera_attacker(budget);
-    if (pnn_switcher != nullptr) pnn_switcher->set_attack_budget_estimate(budget);
-    const auto ms = run_batch(agent, budget > 0.0 ? attacker.get() : nullptr, cfg,
-                              episodes, kEvalSeedBase);
-    const auto rewards =
-        collect(ms, [](const EpisodeMetrics& m) { return m.nominal_reward; });
-    const BoxStats b = box_stats(rewards);
-    row.push_back(fmt(b.mean, 1) + " [" + fmt(b.q1, 0) + "," + fmt(b.q3, 0) + "]");
-  }
-  summary.add_row(std::move(row));
-}
-
-}  // namespace
 
 int main() {
   bench_init("fig6_enhanced");
@@ -45,24 +19,26 @@ int main() {
                "Fig. 6, Sec. VI");
   const int episodes = eval_episodes(30);
 
+  // Every budget evaluates the same seeds.
+  std::vector<orch::Cell> cells;
+  for (const char* agent :
+       {"e2e", "finetune:0.0909", "finetune:0.5", "pnn:0.2", "pnn:0.4"}) {
+    for (double budget : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+      cells.push_back(figure_cell(agent, "camera", budget, episodes, kEvalSeedBase));
+    }
+  }
+  const FigureRun run = run_figure(std::move(cells));
+
+  // One row per agent, one "mean [q1,q3]" column per budget.
   Table summary({"agent", "eps=0.00", "eps=0.25", "eps=0.50", "eps=0.75",
                  "eps=1.00"});
-
-  auto ori = zoo().make_e2e_agent();
-  sweep("pi_ori", *ori, nullptr, episodes, summary);
-
-  auto ft11 = zoo().make_finetuned_agent(1.0 / 11.0);
-  sweep("pi_adv,rho=1/11", *ft11, nullptr, episodes, summary);
-
-  auto ft2 = zoo().make_finetuned_agent(0.5);
-  sweep("pi_adv,rho=1/2", *ft2, nullptr, episodes, summary);
-
-  auto pnn02 = zoo().make_pnn_agent(0.2);
-  sweep("pi_pnn,sigma=0.2", *pnn02, pnn02.get(), episodes, summary);
-
-  auto pnn04 = zoo().make_pnn_agent(0.4);
-  sweep("pi_pnn,sigma=0.4", *pnn04, pnn04.get(), episodes, summary);
-
+  std::vector<std::string> row;
+  for (const orch::RewardRow& r : run.tables.reward_rows) {
+    if (row.empty()) row.push_back(agent_label(r.agent));
+    row.push_back(fmt(r.nominal.mean, 1) + " [" + fmt(r.nominal.q1, 0) + "," +
+                  fmt(r.nominal.q3, 0) + "]");
+    if (row.size() == 6) summary.add_row(std::exchange(row, {}));
+  }
   std::printf("mean nominal reward [q1,q3] per attack budget:\n");
   summary.print();
   maybe_write_csv(summary, "fig6");

@@ -7,57 +7,12 @@
 // successful-attack onset right but has outliers at low effort (forgetting);
 // PNN agents have no successes below effort ~0.4 (sigma=0.4) / ~0.6
 // (sigma=0.2).
-#include "bench_common.hpp"
+#include <algorithm>
 
-#include "core/experiment.hpp"
-#include "defense/pnn_agent.hpp"
+#include "bench_common.hpp"
 
 using namespace adsec;
 using namespace adsec::bench;
-
-namespace {
-
-void sweep(const std::string& label, DrivingAgent& agent,
-           PnnSwitchedAgent* pnn_switcher, int rounds) {
-  ExperimentConfig cfg = zoo().experiment();
-  Table t({"budget", "mean effort", "deviation RMSE (mean)", "side collisions"});
-  RunningStats all_dev;
-  double min_success_effort = 1e9;
-
-  for (int bi = 0; bi <= 12; ++bi) {
-    const double budget = bi * 0.1;
-    auto attacker = zoo().make_camera_attacker(budget);
-    if (pnn_switcher != nullptr) pnn_switcher->set_attack_budget_estimate(budget);
-    RunningStats eff, dev;
-    int side = 0;
-    for (int r = 0; r < rounds; ++r) {
-      const std::uint64_t seed = kEvalSeedBase + 1000 * static_cast<std::uint64_t>(bi) +
-                                 static_cast<std::uint64_t>(r);
-      const EpisodeMetrics m = evaluate_with_reference(
-          agent, budget > 0.0 ? attacker.get() : nullptr, cfg, seed);
-      eff.add(m.attack_effort);
-      dev.add(m.deviation_rmse);
-      all_dev.add(m.deviation_rmse);
-      if (m.side_collision) {
-        ++side;
-        min_success_effort = std::min(min_success_effort, m.attack_effort);
-      }
-    }
-    t.add_row({fmt(budget, 1), fmt(eff.mean(), 3), fmt(dev.mean(), 3),
-               std::to_string(side)});
-  }
-  std::printf("-- Fig. 7: %s --\n", label.c_str());
-  t.print();
-  std::printf("average tracking error across all efforts: %.3f\n", all_dev.mean());
-  if (min_success_effort < 1e9) {
-    std::printf("earliest successful attack at effort %.2f\n\n", min_success_effort);
-  } else {
-    std::printf("no successful attacks at any effort\n\n");
-  }
-  maybe_write_csv(t, "fig7_" + label);
-}
-
-}  // namespace
 
 int main() {
   bench_init("fig7_enhanced_dev");
@@ -66,13 +21,33 @@ int main() {
                "Fig. 7(a)-(d), Sec. VI");
   const int rounds = eval_episodes(10);
 
-  auto ft11 = zoo().make_finetuned_agent(1.0 / 11.0);
-  sweep("pi_adv,rho=1/11", *ft11, nullptr, rounds);
-  auto ft2 = zoo().make_finetuned_agent(0.5);
-  sweep("pi_adv,rho=1/2", *ft2, nullptr, rounds);
-  auto pnn04 = zoo().make_pnn_agent(0.4);
-  sweep("pi_pnn,sigma=0.4", *pnn04, pnn04.get(), rounds);
-  auto pnn02 = zoo().make_pnn_agent(0.2);
-  sweep("pi_pnn,sigma=0.2", *pnn02, pnn02.get(), rounds);
+  const std::vector<std::string> agents{"finetune:0.0909", "finetune:0.5",
+                                        "pnn:0.4", "pnn:0.2"};
+  std::vector<orch::Cell> cells;
+  for (const std::string& agent : agents) {
+    add_effort_sweep(cells, agent, rounds, /*with_reference=*/true);
+  }
+  const FigureRun run = run_figure(std::move(cells));
+
+  std::printf("-- Fig. 7: enhanced agents under camera attack "
+              "(ref-traj RMSE = deviation RMSE) --\n");
+  const Table table = with_agent_labels(run.tables.fig5);
+  table.print();
+  maybe_write_csv(table, "fig7");
+  for (const std::string& agent : agents) {
+    RunningStats deviation;
+    double earliest_success = 1e9;
+    for (const EpisodeMetrics& m : run.episodes_of(agent)) {
+      deviation.add(m.deviation_rmse);
+      if (m.side_collision) earliest_success = std::min(earliest_success, m.attack_effort);
+    }
+    std::printf("\n%s: average tracking error across all efforts: %.3f\n",
+                agent_label(agent).c_str(), deviation.mean());
+    if (earliest_success < 1e9) {
+      std::printf("earliest successful attack at effort %.2f\n", earliest_success);
+    } else {
+      std::printf("no successful attacks at any effort\n");
+    }
+  }
   return 0;
 }

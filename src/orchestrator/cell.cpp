@@ -13,7 +13,7 @@ namespace {
 
 std::string fmt_budget(double budget) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", budget);
+  std::snprintf(buf, sizeof(buf), "%a", budget);
   return buf;
 }
 

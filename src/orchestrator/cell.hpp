@@ -4,7 +4,9 @@
 // A GridSpec names the axes of a (victim x attacker x budget x scenario x
 // seed) cross-product; expand_grid() flattens it into Cells in a canonical
 // order that every consumer (scheduler, store, merger) shares, so results
-// assemble identically no matter how execution interleaved. Each cell
+// assemble identically no matter how execution interleaved. An experiment
+// that is not a cross-product (a figure with a seed per budget) passes its
+// own cell list to run_cells and merge_cells instead. Each cell
 // serializes to a canonical config string which — together with the
 // orchestrator format version — hashes into the content-addressed key the
 // result store files it under: change the config or the code version and
@@ -22,7 +24,7 @@ namespace adsec::orch {
 // Bump when the meaning of a stored result changes (episode semantics,
 // metric definitions, serialization layout): every existing store entry
 // becomes a miss instead of a silently wrong hit.
-inline constexpr std::uint32_t kOrchFormatVersion = 1;
+inline constexpr std::uint32_t kOrchFormatVersion = 2;
 
 struct GridSpec {
   std::vector<std::string> agents{"modular"};
@@ -53,8 +55,10 @@ struct Cell {
 [[nodiscard]] std::vector<Cell> expand_grid(const GridSpec& grid);
 
 // Stable, human-readable serialization of everything that determines the
-// cell's result, including the orchestrator format version. This string is
-// the store key's preimage and is embedded in each store entry for audit.
+// cell's result, including the orchestrator format version. The budget is
+// printed exactly (%a), so budgets that differ in any bit get distinct
+// keys. This string is the store key's preimage and is embedded in each
+// store entry for audit.
 [[nodiscard]] std::string canonical_config(const Cell& cell);
 
 // 64-bit content hash of canonical_config(), built from two independent

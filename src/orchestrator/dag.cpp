@@ -87,14 +87,19 @@ class GridExecution {
 
   void run() {
     if (jobs_.empty()) return;
+    // Find the roots before any job runs: a finishing job decrements its
+    // dependents' deps_remaining under mu_, and an unlocked scan between
+    // submissions would race with it.
+    std::vector<std::size_t> roots;
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      if (jobs_[i].deps_remaining == 0) roots.push_back(i);
+    }
     ThreadPool pool(pool_size_for(options_.jobs, jobs_.size()));
     std::thread watchdog;
     if (options_.deadline_ms > 0) {
       watchdog = std::thread([this] { watchdog_loop(); });
     }
-    for (std::size_t i = 0; i < jobs_.size(); ++i) {
-      if (jobs_[i].deps_remaining == 0) submit(pool, i);
-    }
+    for (const std::size_t i : roots) submit(pool, i);
     {
       UniqueLock lock(mu_);
       // Manual wait loop: a predicate lambda would be analyzed as a
@@ -310,12 +315,24 @@ const char* to_string(JobState s) {
   return "unknown";
 }
 
-GridReport run_grid(ResultStore& store, PolicyZoo& zoo, const GridSpec& grid,
-                    const GridOptions& options) {
-  const std::vector<Cell> cells = expand_grid(grid);
+GridReport run_cells(ResultStore& store, PolicyZoo& zoo,
+                     const std::vector<Cell>& cells,
+                     const GridOptions& options) {
   // Upfront validation: a bad name means the whole grid is unusable —
   // Error{Config} before any work, not a per-cell failure at minute 40.
   for (const Cell& cell : cells) serve::validate_request(to_request(cell));
+  // Two equal keys would make two eval jobs for one store entry, and the
+  // merger would add that cell's episodes twice.
+  std::map<std::uint64_t, std::size_t> first_of_key;
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+    const auto [it, fresh] = first_of_key.emplace(cell_key(cells[ci]).value, ci);
+    if (!fresh) {
+      throw Error(ErrorCode::Usage,
+                  "grid: cells " + std::to_string(it->second) + " and " +
+                      std::to_string(ci) + " are the same cell (" +
+                      canonical_config(cells[ci]) + ")");
+    }
+  }
 
   GridReport report;
   report.cells_total = static_cast<int>(cells.size());
@@ -401,6 +418,10 @@ GridReport run_grid(ResultStore& store, PolicyZoo& zoo, const GridSpec& grid,
       crash_point("job.start");
       const serve::ResolvedSpec spec =
           serve::resolve_spec(zoo, to_request(cell));
+      // One worker, one lane: the cell's episodes run in seed order on one
+      // agent/attacker pair, as serial run_batch runs them. More lanes
+      // would change imu cells, whose sensor noise carries over from one
+      // episode to the next on the same attacker.
       CellResult result;
       result.episodes = run_batch_parallel(spec.agent, spec.attacker, spec.config,
                                            cell.episodes, cell.seed,
@@ -451,6 +472,11 @@ GridReport run_grid(ResultStore& store, PolicyZoo& zoo, const GridSpec& grid,
     telemetry::dump_flight_recorder("orch.cells_failed");
   }
   return report;
+}
+
+GridReport run_grid(ResultStore& store, PolicyZoo& zoo, const GridSpec& grid,
+                    const GridOptions& options) {
+  return run_cells(store, zoo, expand_grid(grid), options);
 }
 
 }  // namespace adsec::orch

@@ -1,4 +1,4 @@
-// Job DAG runner: expands a grid into train -> evaluate jobs, schedules
+// Job DAG runner: turns a cell list into train -> evaluate jobs, schedules
 // them over the runtime's thread pool, and wraps every job in a robustness
 // envelope.
 //
@@ -61,9 +61,16 @@ struct GridReport {
   [[nodiscard]] bool complete() const { return cells_failed == 0; }
 };
 
-// Run the grid to quiescence. Throws Error{Config} upfront for invalid
-// names (the whole grid is unusable), and propagates InjectedCrash from
-// chaos tests; everything else is absorbed into the report.
+// Run a cell list to quiescence. Throws upfront, before any work:
+// Error{Config} for invalid names (the whole list is unusable), and
+// Error{Usage} for two cells with equal keys (merging would count that
+// cell's episodes twice). Propagates InjectedCrash from chaos tests;
+// everything else is absorbed into the report.
+[[nodiscard]] GridReport run_cells(ResultStore& store, PolicyZoo& zoo,
+                                   const std::vector<Cell>& cells,
+                                   const GridOptions& options = {});
+
+// run_cells(expand_grid(grid)).
 [[nodiscard]] GridReport run_grid(ResultStore& store, PolicyZoo& zoo,
                                   const GridSpec& grid,
                                   const GridOptions& options = {});

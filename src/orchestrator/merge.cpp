@@ -5,7 +5,7 @@
 #include <tuple>
 #include <utility>
 
-#include "common/stats.hpp"
+#include "core/experiment.hpp"
 
 namespace adsec::orch {
 
@@ -23,19 +23,51 @@ std::size_t group_of(std::vector<K>& order, std::map<K, std::size_t>& index,
   return g;
 }
 
-struct Fig5Group {
-  RunningStats effort;
-  RunningStats route_rmse;
-  RunningStats ref_rmse;
-  RunningStats ttc;
-  int episodes{0};
-  int side_collisions{0};
-};
+// A group's episodes, concatenated in cell-list order.
+using Episodes = std::vector<EpisodeMetrics>;
 
-struct Fig8Group {
+// The fig5 columns after the group key.
+void append_fig5(std::vector<std::string>& row, const Episodes& episodes) {
+  RunningStats effort, route_rmse, ref_rmse, ttc;
+  int side_collisions = 0;
+  for (const EpisodeMetrics& m : episodes) {
+    effort.add(m.attack_effort);
+    route_rmse.add(m.plan_deviation_rmse);
+    if (m.deviation_rmse >= 0.0) ref_rmse.add(m.deviation_rmse);
+    if (m.side_collision) {
+      ++side_collisions;
+      if (m.time_to_collision >= 0.0) ttc.add(m.time_to_collision);
+    }
+  }
+  row.insert(row.end(),
+             {std::to_string(episodes.size()), fmt(effort.mean(), 3),
+              fmt(route_rmse.mean(), 3),
+              ref_rmse.count() > 0 ? fmt(ref_rmse.mean(), 3) : "-",
+              std::to_string(side_collisions),
+              ttc.count() > 0 ? fmt(ttc.mean(), 2) : "-"});
+}
+
+// The fig8 columns after the group key: one per effort window.
+void append_fig8(std::vector<std::string>& row, const Episodes& episodes) {
   std::vector<double> efforts;
   std::vector<bool> successes;
-};
+  for (const EpisodeMetrics& m : episodes) {
+    efforts.push_back(m.attack_effort);
+    successes.push_back(m.side_collision);
+  }
+  const EffortWindowStats s =
+      success_by_effort_window(efforts, successes, 0.2, 0.8);
+  for (std::size_t b = 0; b < s.window_lo.size(); ++b) {
+    row.push_back(fmt_pct(s.success_rate[b], 0) + " (" +
+                  std::to_string(s.episodes[b]) + ")");
+  }
+}
+
+void append_box(std::vector<std::string>& row, const BoxStats& b) {
+  for (const double v : {b.min, b.q1, b.median, b.q3, b.max, b.mean}) {
+    row.push_back(fmt(v, 2));
+  }
+}
 
 }  // namespace
 
@@ -44,73 +76,70 @@ MergedTables::MergedTables()
             "mean effort", "route RMSE", "ref-traj RMSE", "side collisions",
             "mean ttc (s)"}),
       fig8({"agent", "scenario", "[0,.2)", "[.2,.4)", "[.4,.6)", "[.6,.8)",
-            ".8+"}) {}
+            ".8+"}),
+      rewards({"agent", "scenario", "attacker", "budget", "episodes",
+               "nominal min", "nominal q1", "nominal median", "nominal q3",
+               "nominal max", "nominal mean", "adv min", "adv q1",
+               "adv median", "adv q3", "adv max", "adv mean",
+               "success rate"}) {}
 
 MergedTables merge_cells(
     const std::vector<Cell>& cells,
     const std::vector<std::optional<CellResult>>& results) {
-  using Fig5Key = std::tuple<std::string, std::string, std::string, double>;
-  using Fig8Key = std::pair<std::string, std::string>;
+  using CellGroupKey = std::tuple<std::string, std::string, std::string, double>;
+  using AgentKey = std::pair<std::string, std::string>;
 
-  std::vector<Fig5Key> fig5_order;
-  std::map<Fig5Key, std::size_t> fig5_index;
-  std::vector<Fig5Group> fig5_groups;
-  std::vector<Fig8Key> fig8_order;
-  std::map<Fig8Key, std::size_t> fig8_index;
-  std::vector<Fig8Group> fig8_groups;
+  std::vector<CellGroupKey> cell_order;
+  std::map<CellGroupKey, std::size_t> cell_index;
+  std::vector<Episodes> cell_groups;
+  std::vector<AgentKey> agent_order;
+  std::map<AgentKey, std::size_t> agent_index;
+  std::vector<Episodes> agent_groups;
 
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     if (ci >= results.size() || !results[ci].has_value()) continue;
     const Cell& cell = cells[ci];
-    const CellResult& res = *results[ci];
+    const Episodes& episodes = results[ci]->episodes;
 
-    const std::size_t g5 = group_of(
-        fig5_order, fig5_index,
-        Fig5Key{cell.agent, cell.scenario, cell.attacker, cell.budget});
-    if (g5 == fig5_groups.size()) fig5_groups.emplace_back();
-    Fig5Group& f5 = fig5_groups[g5];
+    const std::size_t g = group_of(
+        cell_order, cell_index,
+        CellGroupKey{cell.agent, cell.scenario, cell.attacker, cell.budget});
+    if (g == cell_groups.size()) cell_groups.emplace_back();
+    cell_groups[g].insert(cell_groups[g].end(), episodes.begin(), episodes.end());
 
-    const std::size_t g8 =
-        group_of(fig8_order, fig8_index, Fig8Key{cell.agent, cell.scenario});
-    if (g8 == fig8_groups.size()) fig8_groups.emplace_back();
-    Fig8Group& f8 = fig8_groups[g8];
-
-    for (const EpisodeMetrics& m : res.episodes) {
-      ++f5.episodes;
-      f5.effort.add(m.attack_effort);
-      f5.route_rmse.add(m.plan_deviation_rmse);
-      if (m.deviation_rmse >= 0.0) f5.ref_rmse.add(m.deviation_rmse);
-      if (m.side_collision) {
-        ++f5.side_collisions;
-        if (m.time_to_collision >= 0.0) f5.ttc.add(m.time_to_collision);
-      }
-      f8.efforts.push_back(m.attack_effort);
-      f8.successes.push_back(m.side_collision);
-    }
+    const std::size_t a =
+        group_of(agent_order, agent_index, AgentKey{cell.agent, cell.scenario});
+    if (a == agent_groups.size()) agent_groups.emplace_back();
+    agent_groups[a].insert(agent_groups[a].end(), episodes.begin(), episodes.end());
   }
 
   MergedTables out;
-  for (std::size_t g = 0; g < fig5_order.size(); ++g) {
-    const auto& [agent, scenario, attacker, budget] = fig5_order[g];
-    const Fig5Group& f5 = fig5_groups[g];
-    out.fig5.add_row(
-        {agent, scenario, attacker, fmt(budget, 2),
-         std::to_string(f5.episodes), fmt(f5.effort.mean(), 3),
-         fmt(f5.route_rmse.mean(), 3),
-         f5.ref_rmse.count() > 0 ? fmt(f5.ref_rmse.mean(), 3) : "-",
-         std::to_string(f5.side_collisions),
-         f5.ttc.count() > 0 ? fmt(f5.ttc.mean(), 2) : "-"});
+  for (std::size_t g = 0; g < cell_order.size(); ++g) {
+    const auto& [agent, scenario, attacker, budget] = cell_order[g];
+    const Episodes& episodes = cell_groups[g];
+    const std::vector<std::string> key{agent, scenario, attacker, fmt(budget, 2)};
+
+    std::vector<std::string> row = key;
+    append_fig5(row, episodes);
+    out.fig5.add_row(std::move(row));
+
+    const auto nominal = [](const EpisodeMetrics& m) { return m.nominal_reward; };
+    const auto adversarial = [](const EpisodeMetrics& m) { return m.adv_reward; };
+    const RewardRow& r = out.reward_rows.emplace_back(RewardRow{
+        agent, scenario, attacker, budget, static_cast<int>(episodes.size()),
+        box_stats(collect(episodes, nominal)),
+        box_stats(collect(episodes, adversarial)), success_rate(episodes)});
+    row = key;
+    row.push_back(std::to_string(r.episodes));
+    append_box(row, r.nominal);
+    append_box(row, r.adversarial);
+    row.push_back(fmt_pct(r.success_rate));
+    out.rewards.add_row(std::move(row));
   }
-  for (std::size_t g = 0; g < fig8_order.size(); ++g) {
-    const auto& [agent, scenario] = fig8_order[g];
-    const Fig8Group& f8 = fig8_groups[g];
-    const EffortWindowStats s =
-        success_by_effort_window(f8.efforts, f8.successes, 0.2, 0.8);
+  for (std::size_t a = 0; a < agent_order.size(); ++a) {
+    const auto& [agent, scenario] = agent_order[a];
     std::vector<std::string> row{agent, scenario};
-    for (std::size_t b = 0; b < s.window_lo.size(); ++b) {
-      row.push_back(fmt_pct(s.success_rate[b], 0) + " (" +
-                    std::to_string(s.episodes[b]) + ")");
-    }
+    append_fig8(row, agent_groups[a]);
     out.fig8.add_row(std::move(row));
   }
   return out;

@@ -1,8 +1,7 @@
 #include "serve/spec.hpp"
 
-#include <cmath>
-
 #include "attack/scripted_attacker.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "defense/simplex_agent.hpp"
 #include "sim/scenario.hpp"
@@ -20,20 +19,15 @@ std::string join(const std::vector<std::string>& names) {
   return out;
 }
 
-// "prefix:<param>" -> param; throws Error{Config} on a malformed number.
+// "prefix:<param>" -> param; throws Error{Config} unless the parameter is
+// a finite number written with digits, '.', 'e'/'E' and signs only: no
+// padding, no inf/nan, no hex floats. Other decimal spellings of one value
+// (0.2, 0.20, .2) still parse, and each gets its own cell key.
 bool split_param(const std::string& spec, const std::string& prefix, double& param) {
   if (spec.rfind(prefix + ":", 0) != 0) return false;
   const std::string tail = spec.substr(prefix.size() + 1);
-  try {
-    std::size_t used = 0;
-    param = std::stod(tail, &used);
-    if (used != tail.size() || std::isnan(param)) {
-      throw Error(ErrorCode::Config,
-                  "invalid numeric parameter in agent spec '" + spec + "'");
-    }
-  } catch (const Error&) {
-    throw;
-  } catch (const std::exception&) {
+  if (tail.find_first_not_of("0123456789.eE+-") != std::string::npos ||
+      !parse_double(tail, param)) {
     throw Error(ErrorCode::Config,
                 "invalid numeric parameter in agent spec '" + spec + "'");
   }

@@ -102,12 +102,17 @@ TEST_F(OrchDagTest, InvalidNamesFailUpfrontWithConfig) {
   ResultStore store = make_store();
   PolicyZoo zoo = make_zoo();
   GridSpec grid = small_grid();
-  grid.agents = {"warp-drive"};
-  try {
-    std::ignore = run_grid(store, zoo, grid);
-    FAIL() << "expected Error{Config}";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::Config);
+  // An agent parameter is a finite number without padding, inf/nan or hex
+  // floats.
+  for (const char* agent : {"warp-drive", "pnn: 0.2", "pnn:0.2 ", "pnn:inf",
+                            "pnn:nan", "pnn:0x1p-2", "pnn:", "finetune:0.5x"}) {
+    grid.agents = {agent};
+    try {
+      std::ignore = run_grid(store, zoo, grid);
+      ADD_FAILURE() << "accepted agent: " << agent;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::Config) << agent;
+    }
   }
   // Nothing ran, nothing committed.
   EXPECT_EQ(store.finished_cells(), 0u);

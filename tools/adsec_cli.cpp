@@ -211,7 +211,7 @@ int finalize_telemetry(const Options& opt) {
 }
 
 // Grid mode: expand the spec, run it through the orchestrator against the
-// content-addressed store, and render the merged fig5/fig8 tables.
+// content-addressed store, and render the merged fig5/fig8/rewards tables.
 // Exit codes: 0 complete, 2 bad spec / store refusal, 3 when one or more
 // cells permanently failed (the rest still completed and committed).
 int run_grid_mode(const Options& opt) {
@@ -292,12 +292,13 @@ int run_grid_mode(const Options& opt) {
   const orch::MergedTables tables = orch::merge_grid(store, grid);
   tables.fig5.print();
   tables.fig8.print();
+  tables.rewards.print();
   if (!opt.csv.empty()) {
-    // --csv is a prefix in grid mode: two tables, two files.
+    // --csv is a prefix in grid mode: one file per table.
     tables.fig5.write_csv(opt.csv + ".fig5.csv");
     tables.fig8.write_csv(opt.csv + ".fig8.csv");
-    std::printf("wrote %s.fig5.csv and %s.fig8.csv\n", opt.csv.c_str(),
-                opt.csv.c_str());
+    tables.rewards.write_csv(opt.csv + ".rewards.csv");
+    std::printf("wrote %s.{fig5,fig8,rewards}.csv\n", opt.csv.c_str());
   }
   return report.complete() ? 0 : 3;
 }
